@@ -14,9 +14,11 @@
 //                      [--report=FILE]
 //
 // Exit status 0 iff measured metrics overhead <= P percent (default 5).
-// Each mode is measured K times and the *minimum* is compared: noise only
-// ever adds time, so min-of-reps is the right estimator for a pass/fail
-// gate.
+// A rep runs batches of N trials of every mode round-robin until each mode
+// has run for at least kMinRepSeconds, so a faster hot path does not
+// shrink the reps below what the clock can time reliably, and machine
+// drift within a rep hits every mode alike. Each rep yields one time ratio
+// per mode against metrics-off; the gate compares the median over K reps.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -67,6 +69,35 @@ double run_workload(const gfw::DetectionRules* rules, int trials, u64 seed,
   return std::chrono::duration<double>(elapsed).count();
 }
 
+constexpr double kMinRepSeconds = 0.05;
+
+/// A measured configuration of the obs layer.
+struct Mode {
+  bool metrics;
+  bool tracing;
+  bool timeline;
+};
+
+/// One rep: the modes' trial batches run round-robin, one batch each in
+/// turn, until every mode has run for kMinRepSeconds, so drift hits all
+/// modes alike. Returns seconds per trial for each mode.
+std::vector<double> time_rep(const gfw::DetectionRules* rules, int trials,
+                             const std::vector<Mode>& modes) {
+  std::vector<double> elapsed(modes.size(), 0.0);
+  int batches = 0;
+  while (*std::min_element(elapsed.begin(), elapsed.end()) < kMinRepSeconds) {
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      obs::set_metrics_enabled(modes[m].metrics);
+      elapsed[m] +=
+          run_workload(rules, trials, 1, modes[m].tracing, modes[m].timeline);
+    }
+    ++batches;
+  }
+  obs::set_metrics_enabled(true);
+  for (double& e : elapsed) e /= static_cast<double>(batches) * trials;
+  return elapsed;
+}
+
 int run(int argc, char** argv) {
   int trials = 120;
   int reps = 5;
@@ -76,7 +107,7 @@ int run(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       trials = 200;
-      reps = 5;
+      reps = 7;
     } else if (arg.rfind("--trials=", 0) == 0) {
       trials = std::max(1, std::atoi(arg.c_str() + 9));
     } else if (arg.rfind("--reps=", 0) == 0) {
@@ -104,32 +135,45 @@ int run(int argc, char** argv) {
   obs::set_metrics_enabled(false);
   run_workload(&rules, std::max(1, trials / 10), 999, /*tracing=*/false);
 
-  double best_on = 1e300;
-  double best_off = 1e300;
-  double best_traced = 1e300;
-  double best_timeline = 1e300;
+  // Per rep: metrics on, metrics off, tracing, timeline.
+  const std::vector<Mode> modes = {{true, false, false},
+                                   {false, false, false},
+                                   {true, true, false},
+                                   {true, false, true}};
+  std::vector<std::vector<double>> per_trial(modes.size());
+  std::vector<std::vector<double>> ratio(modes.size());
   for (int r = 0; r < reps; ++r) {
-    // Interleave modes so drift (thermal, scheduler) hits both equally.
-    obs::set_metrics_enabled(true);
-    best_on = std::min(best_on, run_workload(&rules, trials, 1, false));
-    best_traced = std::min(best_traced, run_workload(&rules, trials, 1, true));
-    best_timeline = std::min(
-        best_timeline, run_workload(&rules, trials, 1, false, true));
-    obs::set_metrics_enabled(false);
-    best_off = std::min(best_off, run_workload(&rules, trials, 1, false));
+    const std::vector<double> rep = time_rep(&rules, trials, modes);
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      per_trial[m].push_back(rep[m]);
+      ratio[m].push_back(rep[m] / rep[1]);
+    }
   }
-  obs::set_metrics_enabled(true);
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  };
+  const double on_s = median(per_trial[0]);
+  const double off_s = median(per_trial[1]);
+  const double traced_s = median(per_trial[2]);
+  const double timeline_s = median(per_trial[3]);
 
-  const double overhead_pct = (best_on / best_off - 1.0) * 100.0;
-  const double traced_pct = (best_traced / best_off - 1.0) * 100.0;
-  const double timeline_pct = (best_timeline / best_off - 1.0) * 100.0;
-  std::printf("bench_obs_overhead: %d http trials per rep, %d reps\n",
-              trials, reps);
-  std::printf("  metrics enabled : %9.4f s (best of %d)\n", best_on, reps);
-  std::printf("  metrics disabled: %9.4f s (best of %d)\n", best_off, reps);
-  std::printf("  metrics+tracing : %9.4f s (best of %d)\n", best_traced, reps);
-  std::printf("  metrics+timeline: %9.4f s (best of %d)\n", best_timeline,
-              reps);
+  const double overhead_pct = (median(ratio[0]) - 1.0) * 100.0;
+  const double traced_pct = (median(ratio[2]) - 1.0) * 100.0;
+  const double timeline_pct = (median(ratio[3]) - 1.0) * 100.0;
+  std::printf("bench_obs_overhead: batches of %d http trials, reps of at "
+              "least %.0f ms, %d reps\n",
+              trials, kMinRepSeconds * 1e3, reps);
+  const auto us = [](double s) { return s * 1e6; };
+  std::printf("  metrics enabled : %9.2f us/trial (median of %d)\n",
+              us(on_s), reps);
+  std::printf("  metrics disabled: %9.2f us/trial (median of %d)\n",
+              us(off_s), reps);
+  std::printf("  metrics+tracing : %9.2f us/trial (median of %d)\n",
+              us(traced_s), reps);
+  std::printf("  metrics+timeline: %9.2f us/trial (median of %d)\n",
+              us(timeline_s), reps);
   std::printf("  overhead        : %+8.2f %%  (bar: %.1f %%)\n",
               overhead_pct, max_overhead_pct);
   std::printf("  traced overhead : %+8.2f %%  (informational; tracing is "
@@ -146,9 +190,9 @@ int run(int argc, char** argv) {
     obs::perf::BenchReport rep = obs::perf::make_report("obs_overhead");
     rep.config["trials"] = trials;
     rep.config["reps"] = reps;
-    rep.wall_seconds = best_on;
+    rep.wall_seconds = on_s * trials;
     rep.metrics["trials_per_sec"] = obs::perf::MetricValue{
-        best_on > 0.0 ? trials / best_on : 0.0, "trials/s",
+        on_s > 0.0 ? 1.0 / on_s : 0.0, "trials/s",
         Direction::kHigherIsBetter};
     rep.metrics["overhead_pct"] = obs::perf::MetricValue{
         overhead_pct, "%", Direction::kLowerIsBetter};

@@ -1,5 +1,7 @@
 #include "core/checksum.h"
 
+#include <cassert>
+
 namespace ys {
 
 u32 checksum_accumulate(ByteView data, u32 acc) {
@@ -25,6 +27,13 @@ u16 internet_checksum(ByteView data) {
 }
 
 u16 transport_checksum(u32 src_ip, u32 dst_ip, u8 protocol, ByteView segment) {
+  return transport_checksum(src_ip, dst_ip, protocol, segment, ByteView{});
+}
+
+u16 transport_checksum(u32 src_ip, u32 dst_ip, u8 protocol, ByteView header,
+                       ByteView payload) {
+  // An odd-length header would shift the payload's 16-bit word alignment.
+  assert(header.size() % 2 == 0 || payload.empty());
   u8 pseudo[12];
   pseudo[0] = static_cast<u8>(src_ip >> 24);
   pseudo[1] = static_cast<u8>(src_ip >> 16);
@@ -36,12 +45,13 @@ u16 transport_checksum(u32 src_ip, u32 dst_ip, u8 protocol, ByteView segment) {
   pseudo[7] = static_cast<u8>(dst_ip);
   pseudo[8] = 0;
   pseudo[9] = protocol;
-  const auto len = static_cast<u16>(segment.size());
+  const auto len = static_cast<u16>(header.size() + payload.size());
   pseudo[10] = static_cast<u8>(len >> 8);
   pseudo[11] = static_cast<u8>(len);
 
   u32 acc = checksum_accumulate(ByteView(pseudo, sizeof(pseudo)), 0);
-  acc = checksum_accumulate(segment, acc);
+  acc = checksum_accumulate(header, acc);
+  acc = checksum_accumulate(payload, acc);
   return checksum_finish(acc);
 }
 

@@ -25,4 +25,10 @@ u16 checksum_finish(u32 acc);
 /// followed by the transport header+payload bytes in `segment`.
 u16 transport_checksum(u32 src_ip, u32 dst_ip, u8 protocol, ByteView segment);
 
+/// The same checksum over a segment given as its header and its payload,
+/// so the segment need not be copied into one buffer. `header` must have
+/// even length (TCP and UDP headers always do).
+u16 transport_checksum(u32 src_ip, u32 dst_ip, u8 protocol, ByteView header,
+                       ByteView payload);
+
 }  // namespace ys

@@ -35,6 +35,28 @@ struct FlowSpec {
   int soak_phase = -1;
 };
 
+/// A weighted index draw: for x in [0, total()), the first index i at which
+/// `x -= weights[i]` brings x to zero or below, or the last index if
+/// rounding never does. That subtraction scan is the definition (and the
+/// fallback); a guide table over running sums gives the same answer for
+/// every x in a step or two instead of a walk over all the weights.
+class WeightedPick {
+ public:
+  explicit WeightedPick(std::vector<double> weights);
+
+  /// Sum of the weights, added in index order.
+  double total() const { return cum_.empty() ? 0.0 : cum_.back(); }
+
+  int operator()(double x) const;
+
+ private:
+  std::vector<double> weights_;
+  std::vector<double> cum_;          // running sums, in scan order
+  std::vector<std::size_t> guide_;   // first candidate per slice of total
+  double margin_ = 0.0;
+  double slices_per_unit_ = 0.0;
+};
+
 /// Build the complete flow schedule for one vantage point: `cfg.flows`
 /// entries, ordered by arrival time. Clients have heterogeneous activity
 /// weights and servers a popularity-skewed draw, so caches see realistic

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cctype>
-#include <queue>
 
 namespace ys::gfw {
 
@@ -13,18 +12,6 @@ u8 normalize(u8 c) { return static_cast<u8>(std::tolower(c)); }
 void AhoCorasick::add_pattern(std::string_view pattern) {
   assert(!built_);
   if (pattern.empty()) return;
-  i32 node = 0;
-  for (char raw : pattern) {
-    const u8 c = normalize(static_cast<u8>(raw));
-    if (nodes_[static_cast<std::size_t>(node)].next[c] < 0) {
-      nodes_[static_cast<std::size_t>(node)].next[c] =
-          static_cast<i32>(nodes_.size());
-      nodes_.emplace_back();
-    }
-    node = nodes_[static_cast<std::size_t>(node)].next[c];
-  }
-  nodes_[static_cast<std::size_t>(node)].match =
-      static_cast<i32>(patterns_.size());
   std::string lowered(pattern);
   for (char& c : lowered) c = static_cast<char>(normalize(static_cast<u8>(c)));
   patterns_.push_back(std::move(lowered));
@@ -32,32 +19,53 @@ void AhoCorasick::add_pattern(std::string_view pattern) {
 
 void AhoCorasick::build() {
   assert(!built_);
-  std::queue<i32> bfs;
-  for (int c = 0; c < kAlphabet; ++c) {
-    i32& child = nodes_[0].next[static_cast<std::size_t>(c)];
-    if (child < 0) {
-      child = 0;
-    } else {
-      nodes_[static_cast<std::size_t>(child)].fail = 0;
-      bfs.push(child);
+  for (const std::string& p : patterns_) {
+    for (char c : p) {
+      u16& cls = class_of_[static_cast<u8>(c)];
+      if (cls == 0) cls = static_cast<u16>(classes_++);
     }
   }
-  while (!bfs.empty()) {
-    const i32 u = bfs.front();
-    bfs.pop();
-    Node& nu = nodes_[static_cast<std::size_t>(u)];
-    if (nu.match < 0) {
-      nu.match = nodes_[static_cast<std::size_t>(nu.fail)].match;
+  const std::size_t width = classes_;
+  const auto at = [width](i32 node, std::size_t cls) {
+    return static_cast<std::size_t>(node) * width + cls;
+  };
+
+  // Trie; -1 marks a missing edge.
+  next_.assign(width, -1);
+  match_.assign(1, -1);
+  for (std::size_t i = 0; i < patterns_.size(); ++i) {
+    i32 node = 0;
+    for (char c : patterns_[i]) {
+      const std::size_t cls = class_of_[static_cast<u8>(c)];
+      if (next_[at(node, cls)] < 0) {
+        next_[at(node, cls)] = static_cast<i32>(match_.size());
+        next_.resize(next_.size() + width, -1);
+        match_.push_back(-1);
+      }
+      node = next_[at(node, cls)];
     }
-    for (int c = 0; c < kAlphabet; ++c) {
-      i32& child = nu.next[static_cast<std::size_t>(c)];
-      const i32 fail_next =
-          nodes_[static_cast<std::size_t>(nu.fail)].next[static_cast<std::size_t>(c)];
+    match_[static_cast<std::size_t>(node)] = static_cast<i32>(i);
+  }
+
+  // Breadth-first, so a node's failure target (shallower) already has its
+  // full row when the node takes its missing edges from it.
+  std::vector<i32> fail(match_.size(), 0);
+  std::vector<i32> order{0};
+  order.reserve(match_.size());
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const i32 u = order[head];
+    const i32 f = fail[static_cast<std::size_t>(u)];
+    if (u != 0 && match_[static_cast<std::size_t>(u)] < 0) {
+      match_[static_cast<std::size_t>(u)] = match_[static_cast<std::size_t>(f)];
+    }
+    for (std::size_t cls = 0; cls < width; ++cls) {
+      const i32 child = next_[at(u, cls)];
+      const i32 via_fail = u == 0 ? 0 : next_[at(f, cls)];
       if (child < 0) {
-        child = fail_next;
+        next_[at(u, cls)] = via_fail;
       } else {
-        nodes_[static_cast<std::size_t>(child)].fail = fail_next;
-        bfs.push(child);
+        fail[static_cast<std::size_t>(child)] = via_fail;
+        order.push_back(child);
       }
     }
   }
@@ -68,8 +76,9 @@ i32 AhoCorasick::scan(ByteView chunk, Cursor& cursor) const {
   assert(built_);
   i32 node = cursor.node;
   for (u8 raw : chunk) {
-    node = nodes_[static_cast<std::size_t>(node)].next[normalize(raw)];
-    const i32 match = nodes_[static_cast<std::size_t>(node)].match;
+    node = next_[static_cast<std::size_t>(node) * classes_ +
+                 class_of_[normalize(raw)]];
+    const i32 match = match_[static_cast<std::size_t>(node)];
     if (match >= 0) {
       cursor.node = node;
       return match;

@@ -9,6 +9,7 @@
 // distinguishes type-2 GFW devices from type-1 (§2.1).
 #pragma once
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +34,8 @@ class AhoCorasick {
   /// Add a pattern before build(). Patterns are lowercased.
   void add_pattern(std::string_view pattern);
 
-  /// Finalize failure links. Must be called once after all add_pattern().
+  /// Build the automaton over all added patterns. Must be called once
+  /// after all add_pattern().
   void build();
 
   bool built() const { return built_; }
@@ -52,15 +54,16 @@ class AhoCorasick {
   }
 
  private:
-  static constexpr int kAlphabet = 256;
-
-  struct Node {
-    std::vector<i32> next = std::vector<i32>(kAlphabet, -1);
-    i32 fail = 0;
-    i32 match = -1;  // pattern index terminating here (or inherited)
-  };
-
-  std::vector<Node> nodes_{Node{}};
+  // Every byte that occurs in a pattern has its own class; all other bytes
+  // share class 0, which only ever leads back to the root. Rows of the
+  // transition table are one entry per class, not per byte, so the table
+  // stays small and building it is cheap.
+  std::array<u16, 256> class_of_{};
+  std::size_t classes_ = 1;
+  // Goto function with failure transitions folded in: next_[node *
+  // classes_ + class] is the node after reading a byte of that class.
+  std::vector<i32> next_;
+  std::vector<i32> match_;  // pattern index terminating here (or inherited)
   std::vector<std::string> patterns_;
   bool built_ = false;
 };

@@ -378,9 +378,9 @@ void GfwDevice::handle_payload(const net::Packet& pkt, net::Dir dir,
     if (cfg_.device_type == DeviceType::kType1) {
       scan_packet_type1(*tcb, pkt, fwd);
     } else {
-      tcb->ingest(t.seq, pkt.payload, cfg_.tcp_segment_overlap, cfg_.window);
       const u32 drain_start = tcb->client_next;
-      Bytes fresh = tcb->drain();
+      const ByteView fresh = tcb->assemble(
+          t.seq, pkt.payload, cfg_.tcp_segment_overlap, cfg_.window);
       if (!fresh.empty()) {
         if (cfg_.harden_require_server_ack) {
           if (!tcb->pending_base_valid) {
@@ -427,8 +427,8 @@ void GfwDevice::release_acked_bytes(GfwTcb& tcb, u32 server_ack,
         trace_state(obs::GfwState::kResync, obs::GfwState::kEstablished,
                     obs::GfwBehavior::kResyncReanchor,
                     "hardened resync: re-anchored on server-acked candidate");
-        tcb.ingest(seq, payload, cfg_.tcp_segment_overlap, cfg_.window);
-        Bytes confirmed = tcb.drain();
+        const ByteView confirmed = tcb.assemble(
+            seq, payload, cfg_.tcp_segment_overlap, cfg_.window);
         if (!confirmed.empty() && !tcb.detected) {
           scan_monitored(tcb, confirmed, fwd);
         }

@@ -1,36 +1,11 @@
 #include "gfw/gfw_tcb.h"
 
-#include "tcpstack/tcp_types.h"
-
 namespace ys::gfw {
 
-using tcp::seq_ge;
-using tcp::seq_lt;
-
-void GfwTcb::ingest(u32 seq, ByteView data, net::OverlapPolicy policy,
-                    u32 window) {
-  for (u32 off = 0; off < data.size(); ++off) {
-    const u32 pos = seq + off;
-    if (seq_lt(pos, client_next)) continue;
-    if (seq_ge(pos, client_next + window)) break;
-    auto it = ooo_.find(pos);
-    if (it != ooo_.end()) {
-      if (policy == net::OverlapPolicy::kPreferLast) it->second = data[off];
-    } else {
-      ooo_.emplace(pos, data[off]);
-    }
-  }
-}
-
-Bytes GfwTcb::drain() {
-  Bytes fresh;
-  while (true) {
-    auto it = ooo_.find(client_next);
-    if (it == ooo_.end()) break;
-    fresh.push_back(it->second);
-    ooo_.erase(it);
-    ++client_next;
-  }
+ByteView GfwTcb::assemble(u32 seq, ByteView data, net::OverlapPolicy policy,
+                          u32 window) {
+  const ByteView fresh =
+      reassembler_.push(client_next, seq, data, window, policy);
   if (!fresh.empty()) {
     stream_.insert(stream_.end(), fresh.begin(), fresh.end());
     client_data_seen = true;
@@ -39,7 +14,7 @@ Bytes GfwTcb::drain() {
 }
 
 void GfwTcb::reanchor(u32 seq) {
-  ooo_.clear();
+  reassembler_.clear();
   client_next = seq;
 }
 

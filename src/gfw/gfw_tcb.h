@@ -7,7 +7,6 @@
 // letting the client forge the SYN/ACK, flipping the monitored direction.
 #pragma once
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "gfw/gfw_types.h"
 #include "netsim/packet.h"
 #include "netsim/path.h"
+#include "netsim/segment_reassembler.h"
 
 namespace ys::gfw {
 
@@ -67,12 +67,11 @@ class GfwTcb {
   // ---------------------------------------------------- stream assembly
 
   /// Merge monitored-direction payload bytes at `seq` under `policy`,
-  /// clipped to [client_next, client_next + window).
-  void ingest(u32 seq, ByteView data, net::OverlapPolicy policy, u32 window);
-
-  /// Drain contiguous bytes at client_next into the assembled stream;
-  /// returns the newly contiguous chunk.
-  Bytes drain();
+  /// clipped to [client_next, client_next + window), and append the bytes
+  /// now contiguous at client_next to the assembled stream. Returns that
+  /// newly contiguous chunk, valid until the next call.
+  ByteView assemble(u32 seq, ByteView data, net::OverlapPolicy policy,
+                    u32 window);
 
   /// Reset the reassembly anchor to `seq` (resync): pending out-of-order
   /// bytes are discarded, the assembled stream continues from the new
@@ -100,7 +99,7 @@ class GfwTcb {
   net::FourTuple tuple_;
   net::Dir monitored_dir_;
   bool reversed_;
-  std::map<u32, u8> ooo_;
+  net::SegmentReassembler reassembler_;
   Bytes stream_;
 };
 

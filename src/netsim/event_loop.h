@@ -1,8 +1,8 @@
 // Discrete-event scheduler driving all simulations on virtual time.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,7 +45,8 @@ class EventLoop {
   void start_at(SimTime t) { clock_.advance_to(t); }
 
   void schedule_at(SimTime when, Action action) {
-    queue_.push(Event{when, next_seq_++, std::move(action)});
+    queue_.push_back(Event{when, next_seq_++, std::move(action)});
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
     metrics().queue_depth_hwm.max_of(static_cast<double>(queue_.size()));
   }
 
@@ -58,10 +59,7 @@ class EventLoop {
   RunResult run(std::size_t max_events = 1'000'000) {
     RunResult result;
     while (!queue_.empty() && result.executed < max_events) {
-      Event ev = queue_.top();
-      queue_.pop();
-      clock_.advance_to(ev.when);
-      ev.action();
+      run_next();
       ++result.executed;
     }
     finish_run(result, !queue_.empty());
@@ -71,15 +69,12 @@ class EventLoop {
   /// Run events with timestamps <= deadline, then set the clock there.
   RunResult run_until(SimTime deadline, std::size_t max_events = 1'000'000) {
     RunResult result;
-    while (!queue_.empty() && queue_.top().when <= deadline &&
+    while (!queue_.empty() && queue_.front().when <= deadline &&
            result.executed < max_events) {
-      Event ev = queue_.top();
-      queue_.pop();
-      clock_.advance_to(ev.when);
-      ev.action();
+      run_next();
       ++result.executed;
     }
-    finish_run(result, !queue_.empty() && queue_.top().when <= deadline);
+    finish_run(result, !queue_.empty() && queue_.front().when <= deadline);
     clock_.advance_to(deadline);
     return result;
   }
@@ -133,6 +128,16 @@ class EventLoop {
       }
     }
   }
+  /// Pop the earliest event and run it. The event is moved out of the
+  /// heap, not copied: its action usually captures a whole Packet.
+  void run_next() {
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
+    clock_.advance_to(ev.when);
+    ev.action();
+  }
+
   struct Event {
     SimTime when;
     u64 seq;
@@ -147,7 +152,9 @@ class EventLoop {
   VirtualClock clock_;
   u64 next_seq_ = 0;
   obs::TraceRecorder* trace_ = nullptr;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  // Min-heap on (when, seq) kept with push_heap/pop_heap; (when, seq) is a
+  // strict total order, so the pop order does not depend on the heap.
+  std::vector<Event> queue_;
 };
 
 }  // namespace ys::net

@@ -1,9 +1,43 @@
 #include "netsim/wire.h"
 
+#include <cassert>
+
 #include "core/byte_io.h"
 
 namespace ys::net {
 namespace {
+
+/// Writes big-endian fields into a fixed header buffer; the headers are
+/// short enough to live on the stack, so building one allocates nothing.
+class HeaderWriter {
+ public:
+  explicit HeaderWriter(std::span<u8> out) : out_(out) {}
+
+  void u8_(u8 v) {
+    assert(size_ < out_.size());
+    out_[size_++] = v;
+  }
+  void u16_(u16 v) {
+    u8_(static_cast<u8>(v >> 8));
+    u8_(static_cast<u8>(v));
+  }
+  void u32_(u32 v) {
+    u16_(static_cast<u16>(v >> 16));
+    u16_(static_cast<u16>(v));
+  }
+  void bytes(ByteView v) {
+    for (u8 b : v) u8_(b);
+  }
+  void zeros(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) u8_(0);
+  }
+
+  std::size_t size() const { return size_; }
+
+ private:
+  std::span<u8> out_;
+  std::size_t size_ = 0;
+};
 
 // TCP option kinds we encode/decode structurally.
 constexpr u8 kOptEol = 0;
@@ -14,7 +48,7 @@ constexpr u8 kOptSackPerm = 4;
 constexpr u8 kOptTimestamps = 8;
 constexpr u8 kOptMd5 = 19;
 
-void write_tcp_options(BufWriter& w, const TcpOptions& opts) {
+void write_tcp_options(HeaderWriter& w, const TcpOptions& opts) {
   std::size_t start = w.size();
   if (opts.mss) {
     w.u8_(kOptMss);
@@ -104,10 +138,9 @@ Status read_tcp_options(BufReader& r, std::size_t options_len,
 
 }  // namespace
 
-Bytes serialize_ip_header(const Ipv4Header& ip, bool zero_checksum) {
-  Bytes out;
-  out.reserve(static_cast<std::size_t>(ip.ihl_words) * 4);
-  BufWriter w(out);
+std::size_t write_ip_header(const Ipv4Header& ip, HeaderBuf& out,
+                            bool zero_checksum) {
+  HeaderWriter w(out);
   w.u8_(static_cast<u8>(0x40 | (ip.ihl_words & 0x0F)));
   w.u8_(ip.dscp_ecn);
   w.u16_(ip.total_length);
@@ -124,16 +157,13 @@ Bytes serialize_ip_header(const Ipv4Header& ip, bool zero_checksum) {
   if (ip.ihl_words > 5) {
     w.zeros((static_cast<std::size_t>(ip.ihl_words) - 5) * 4);
   }
-  return out;
+  return w.size();
 }
 
-Bytes serialize_transport(const Packet& pkt, bool zero_checksum) {
-  Bytes out;
-  BufWriter w(out);
-  if (pkt.is_trailing_fragment() || (!pkt.tcp && !pkt.udp)) {
-    w.bytes(pkt.payload);
-    return out;
-  }
+std::size_t write_transport_header(const Packet& pkt, HeaderBuf& out,
+                                   bool zero_checksum) {
+  HeaderWriter w(out);
+  if (pkt.is_trailing_fragment()) return 0;
   if (pkt.tcp) {
     const TcpHeader& t = *pkt.tcp;
     w.u16_(t.src_port);
@@ -148,15 +178,29 @@ Bytes serialize_transport(const Packet& pkt, bool zero_checksum) {
     w.u16_(zero_checksum ? 0 : t.checksum);
     w.u16_(t.urgent_pointer);
     write_tcp_options(w, t.options);
-    w.bytes(pkt.payload);
-    return out;
+  } else if (pkt.udp) {
+    const UdpHeader& u = *pkt.udp;
+    w.u16_(u.src_port);
+    w.u16_(u.dst_port);
+    w.u16_(u.length);
+    w.u16_(zero_checksum ? 0 : u.checksum);
   }
-  const UdpHeader& u = *pkt.udp;
-  w.u16_(u.src_port);
-  w.u16_(u.dst_port);
-  w.u16_(u.length);
-  w.u16_(zero_checksum ? 0 : u.checksum);
-  w.bytes(pkt.payload);
+  return w.size();
+}
+
+Bytes serialize_ip_header(const Ipv4Header& ip) {
+  HeaderBuf hdr;
+  const std::size_t n = write_ip_header(ip, hdr);
+  return Bytes(hdr.begin(), hdr.begin() + static_cast<long>(n));
+}
+
+Bytes serialize_transport(const Packet& pkt, bool zero_checksum) {
+  HeaderBuf hdr;
+  const std::size_t n = write_transport_header(pkt, hdr, zero_checksum);
+  Bytes out;
+  out.reserve(n + pkt.payload.size());
+  out.insert(out.end(), hdr.begin(), hdr.begin() + static_cast<long>(n));
+  out.insert(out.end(), pkt.payload.begin(), pkt.payload.end());
   return out;
 }
 

@@ -501,31 +501,11 @@ void TcpEndpoint::accept_payload(const net::Packet& pkt) {
     return;
   }
 
-  // Clip to the receive window and merge into the out-of-order byte store
-  // under the profile's overlap policy (Linux keeps the first copy).
-  for (u32 off = 0; off < seg_len; ++off) {
-    const u32 pos = seg_seq + off;
-    if (seq_lt(pos, rcv_nxt_)) continue;
-    if (seq_ge(pos, rcv_nxt_ + rcv_wnd_)) break;
-    auto it = ooo_bytes_.find(pos);
-    if (it != ooo_bytes_.end()) {
-      if (profile_.segment_overlap == net::OverlapPolicy::kPreferLast) {
-        it->second = pkt.payload[off];
-      }
-    } else {
-      ooo_bytes_.emplace(pos, pkt.payload[off]);
-    }
-  }
-
-  // Drain contiguous bytes from rcv_nxt.
-  Bytes delivered;
-  while (true) {
-    auto it = ooo_bytes_.find(rcv_nxt_);
-    if (it == ooo_bytes_.end()) break;
-    delivered.push_back(it->second);
-    ooo_bytes_.erase(it);
-    ++rcv_nxt_;
-  }
+  // Clip to the receive window, merge into the out-of-order store under
+  // the profile's overlap policy (Linux keeps the first copy) and take the
+  // bytes now contiguous from rcv_nxt.
+  const ByteView delivered = reassembler_.push(
+      rcv_nxt_, seg_seq, pkt.payload, rcv_wnd_, profile_.segment_overlap);
   if (!delivered.empty()) {
     received_stream_.insert(received_stream_.end(), delivered.begin(),
                             delivered.end());

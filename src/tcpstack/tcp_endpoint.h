@@ -9,7 +9,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "netsim/event_loop.h"
 #include "netsim/packet.h"
 #include "netsim/path.h"
+#include "netsim/segment_reassembler.h"
 #include "tcpstack/tcp_types.h"
 
 namespace ys::tcp {
@@ -148,9 +148,9 @@ class TcpEndpoint {
   bool ts_enabled_peer_ = false;
   u32 ts_recent_ = 0;
 
-  // Out-of-order receive bytes beyond rcv_nxt (byte-granular, policy
-  // applied per byte per profile_.segment_overlap).
-  std::map<u32, u8> ooo_bytes_;
+  // Out-of-order receive bytes beyond rcv_nxt, merged under
+  // profile_.segment_overlap.
+  net::SegmentReassembler reassembler_;
 
   // Untransmitted/unacked send buffer keyed by starting seq.
   struct Unacked {

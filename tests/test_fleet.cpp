@@ -2,6 +2,7 @@
 // arrival schedules, the runner determinism contract (jobs parity, chain
 // resume), shared-cache convergence, and RNG isolation from fleet-free
 // runs.
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -184,6 +185,51 @@ TEST(Fleet, ScheduleIsDeterministicSortedAndInRange) {
     }
   }
   EXPECT_TRUE(any_diff);
+}
+
+// The draw WeightedPick must reproduce exactly: subtract weights from x in
+// index order until x reaches zero or below.
+int scan_pick(const std::vector<double>& weights, double x) {
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    x -= weights[i];
+    if (x <= 0.0) return static_cast<int>(i);
+  }
+  return static_cast<int>(weights.size() - 1);
+}
+
+TEST(Fleet, WeightedPickMatchesTheSubtractionScan) {
+  Rng rng(11);
+  std::vector<std::vector<double>> cases = {{}, {0.7}, {0.0, 1.0, 0.0}};
+  for (std::size_t n : {2u, 3u, 16u, 64u, 257u}) {
+    std::vector<double> activity(n), zipf(n), spread(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      activity[i] = 0.1 + rng.uniform01();
+      zipf[i] = 1.0 / static_cast<double>(i + 1);
+      spread[i] = std::ldexp(rng.uniform01(), -static_cast<int>(i % 40));
+    }
+    cases.push_back(activity);
+    cases.push_back(zipf);
+    cases.push_back(spread);
+  }
+  for (const std::vector<double>& w : cases) {
+    const fleet::WeightedPick pick(w);
+    std::vector<double> probes;
+    for (int i = 0; i < 20000; ++i) probes.push_back(rng.uniform01() * pick.total());
+    // Running sums and their neighbours: where the scan's rounding decides.
+    double sum = 0.0;
+    for (double v : w) {
+      sum += v;
+      double x = sum;
+      for (int ulp = 0; ulp < 4; ++ulp) x = std::nextafter(x, 0.0);
+      for (int ulp = 0; ulp < 9; ++ulp, x = std::nextafter(x, 2 * sum + 1)) {
+        probes.push_back(x);
+      }
+    }
+    probes.push_back(0.0);
+    for (double x : probes) {
+      ASSERT_EQ(pick(x), scan_pick(w, x)) << "n " << w.size() << " x " << x;
+    }
+  }
 }
 
 TEST(Fleet, SchedulePinsSoakPhasesToBoundaries) {

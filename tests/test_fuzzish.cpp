@@ -4,6 +4,8 @@
 // must stay consistent under random packet interleavings.
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "app/dns.h"
 #include "gfw/gfw_device.h"
 #include "netsim/wire.h"
@@ -181,12 +183,15 @@ TEST(AhoCorasickRandom, MatchesBruteForceOnRandomTexts) {
   for (int trial = 0; trial < 400; ++trial) {
     std::string text;
     const std::size_t len = 1 + rng.uniform(60);
+    // 'd' occurs in no pattern; upper case must match like lower case.
     for (std::size_t i = 0; i < len; ++i) {
-      text += static_cast<char>('a' + rng.uniform(3));
+      text += "abcdABC"[rng.uniform(7)];
     }
+    std::string lowered = text;
+    for (char& c : lowered) c = static_cast<char>(std::tolower(c));
     bool brute = false;
     for (const auto& p : patterns) {
-      if (text.find(p) != std::string::npos) brute = true;
+      if (lowered.find(p) != std::string::npos) brute = true;
     }
     EXPECT_EQ(ac.contains(text), brute) << text;
   }

@@ -4,6 +4,7 @@
 
 #include "netsim/event_loop.h"
 #include "netsim/path.h"
+#include "obs/alloc_hook.h"
 
 namespace ys::net {
 namespace {
@@ -73,6 +74,70 @@ TEST(EventLoop, MaxEventsBoundsRunawayLoops) {
   loop.schedule_after(SimTime::from_us(1), rearm);
   const std::size_t executed = loop.run(100);
   EXPECT_EQ(executed, 100u);
+}
+
+TEST(EventLoop, SameInstantEventsScheduledFromEventsKeepSchedulingOrder) {
+  EventLoop loop;
+  std::vector<std::string> order;
+  const SimTime t = SimTime::from_ms(5);
+  loop.schedule_at(t, [&] {
+    order.push_back("a");
+    loop.schedule_at(t, [&] {
+      order.push_back("c");
+      loop.schedule_at(t, [&] { order.push_back("e"); });
+    });
+    loop.schedule_at(t, [&] { order.push_back("d"); });
+  });
+  loop.schedule_at(t, [&] { order.push_back("b"); });
+  loop.schedule_at(SimTime::from_ms(4), [&] {
+    order.push_back("early");
+    loop.schedule_at(t, [&] { order.push_back("f"); });
+  });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"early", "a", "b", "f", "c",
+                                             "d", "e"}));
+}
+
+/// One hop of a packet-carrying event chain: runs, then hands its packet
+/// to the next hop, like Path delivering a packet to the next element.
+struct PacketHop {
+  EventLoop* loop;
+  Packet pkt;
+  int* left;
+  void operator()() {
+    if (--*left <= 0) return;
+    loop->schedule_after(SimTime::from_us(1),
+                         PacketHop{loop, std::move(pkt), left});
+  }
+};
+
+TEST(EventLoop, RunningAnEventMovesItOutOfTheQueue) {
+  if (!obs::perf::alloc_hook_available()) {
+    GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+  }
+  EventLoop loop;
+  auto chains = [&](int events_per_chain, std::vector<int>& left) {
+    for (int& l : left) {
+      l = events_per_chain;
+      Packet pkt = probe(64);
+      pkt.payload = Bytes(200, 0xAB);
+      loop.schedule_after(SimTime::from_us(1),
+                          PacketHop{&loop, std::move(pkt), &l});
+    }
+  };
+  std::vector<int> left(8);
+  chains(4, left);  // warm up: metric bindings, queue capacity
+  loop.run();
+
+  constexpr int kPerChain = 100;
+  chains(kPerChain, left);
+  const auto before = obs::perf::thread_alloc_counters();
+  const std::size_t executed = loop.run();
+  const auto after = obs::perf::thread_alloc_counters();
+  ASSERT_EQ(executed, left.size() * kPerChain);
+  // Each event allocates only the closure of the hop it schedules; a pop
+  // that copied the event would also copy the closure and the packet.
+  EXPECT_LE(after.count - before.count, executed);
 }
 
 // ------------------------------------------------------------------- Path

@@ -3,6 +3,8 @@
 // insertion packets rely on.
 #include <gtest/gtest.h>
 
+#include "core/checksum.h"
+#include "netsim/fragment.h"
 #include "netsim/packet.h"
 #include "netsim/wire.h"
 
@@ -202,6 +204,111 @@ TEST(Wire, ParseTruncatedTcpHeader) {
   Bytes image = serialize(pkt);
   image.resize(24);  // IP header + 4 bytes of TCP
   EXPECT_FALSE(parse(image).ok());
+}
+
+// ------------------------------------------- checksum over header fields
+
+// correct_transport_checksum sums the header and the payload in place; it
+// must equal the checksum over the serialized segment it replaced.
+u16 serialized_checksum(const Packet& pkt) {
+  const Bytes segment = serialize_transport(pkt, /*zero_checksum=*/true);
+  u16 sum = transport_checksum(pkt.ip.src, pkt.ip.dst,
+                               static_cast<u8>(pkt.ip.protocol), segment);
+  if (pkt.ip.protocol == IpProto::kUdp && sum == 0) sum = 0xFFFF;
+  return sum;
+}
+
+Bytes counting_payload(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<u8>(i * 7 + 3);
+  return b;
+}
+
+TEST(ChecksumOverFields, EveryTcpOptionCombinationAndPayloadLength) {
+  for (int mask = 0; mask < 32; ++mask) {
+    for (std::size_t len : {0u, 1u, 2u, 3u, 7u, 64u, 1461u}) {
+      Packet pkt = make_tcp_packet(kTuple, TcpFlags::psh_ack(), 0xFFFFFFF0u,
+                                   77, counting_payload(len));
+      TcpOptions& o = pkt.tcp->options;
+      if (mask & 1) o.mss = 1460;
+      if (mask & 2) o.window_scale = 7;
+      if (mask & 4) o.sack_permitted = true;
+      if (mask & 8) o.timestamps = TcpTimestamps{0xDEADBEEF, 42};
+      if (mask & 16) o.md5_signature = std::array<u8, 16>{1, 2, 3, 4, 5};
+      finalize(pkt);
+      EXPECT_EQ(correct_transport_checksum(pkt), serialized_checksum(pkt))
+          << "options " << mask << " payload " << len;
+      EXPECT_TRUE(transport_checksum_ok(pkt));
+    }
+  }
+}
+
+TEST(ChecksumOverFields, CorruptedDataOffset) {
+  // Short-TCP-header insertion packets write the stored data offset, not
+  // the option length; the sum covers the field as written.
+  for (u8 words : {0, 4, 5, 9, 15}) {
+    Packet pkt = make_tcp_packet(kTuple, TcpFlags::psh_ack(), 1, 2,
+                                 counting_payload(13));
+    pkt.tcp->options.timestamps = TcpTimestamps{5, 6};
+    pkt.tcp->data_offset_words = words;
+    EXPECT_EQ(correct_transport_checksum(pkt), serialized_checksum(pkt))
+        << "data offset " << int{words};
+  }
+}
+
+TEST(ChecksumOverFields, UdpZeroSumIsSentAsAllOnes) {
+  // Search two payload bytes for a datagram whose computed sum is 0.
+  bool found = false;
+  for (u32 v = 0; v <= 0xFFFF && !found; ++v) {
+    Packet pkt = make_udp_packet(
+        kTuple, Bytes{static_cast<u8>(v >> 8), static_cast<u8>(v), 0x11});
+    pkt.udp->length = 11;
+    const Bytes segment = serialize_transport(pkt, /*zero_checksum=*/true);
+    if (transport_checksum(pkt.ip.src, pkt.ip.dst, 17, segment) != 0) continue;
+    found = true;
+    EXPECT_EQ(correct_transport_checksum(pkt), 0xFFFF);
+    EXPECT_EQ(correct_transport_checksum(pkt), serialized_checksum(pkt));
+    finalize(pkt);
+    EXPECT_EQ(pkt.udp->checksum, 0xFFFF);
+    EXPECT_TRUE(transport_checksum_ok(pkt));
+  }
+  EXPECT_TRUE(found);
+  for (std::size_t len : {0u, 1u, 2u, 15u, 512u}) {
+    Packet pkt = make_udp_packet(kTuple, counting_payload(len));
+    finalize(pkt);
+    EXPECT_EQ(correct_transport_checksum(pkt), serialized_checksum(pkt));
+  }
+}
+
+TEST(ChecksumOverFields, TrailingFragmentsSumTheirRawSlice) {
+  Packet whole = make_tcp_packet(kTuple, TcpFlags::psh_ack(), 9, 10,
+                                 counting_payload(301));
+  whole.tcp->options.timestamps = TcpTimestamps{1, 2};
+  finalize(whole);
+  const std::vector<Packet> frags = fragment_packet(whole, 64);
+  ASSERT_GT(frags.size(), 2u);
+  for (const Packet& f : frags) {
+    EXPECT_EQ(correct_transport_checksum(f), serialized_checksum(f));
+  }
+  EXPECT_TRUE(frags.back().is_trailing_fragment());
+  EXPECT_EQ(frags.back().payload.size() % 2, 1u);  // odd tail
+}
+
+TEST(ChecksumOverFields, HeaderWriterMatchesSerializedPrefix) {
+  Packet pkt = make_tcp_packet(kTuple, TcpFlags::syn_ack(), 5, 6,
+                               counting_payload(9));
+  pkt.tcp->options.mss = 1400;
+  pkt.tcp->options.md5_signature.emplace();
+  finalize(pkt);
+  HeaderBuf hdr;
+  const std::size_t n = write_transport_header(pkt, hdr);
+  const Bytes segment = serialize_transport(pkt);
+  ASSERT_EQ(segment.size(), n + pkt.payload.size());
+  EXPECT_TRUE(std::equal(hdr.begin(), hdr.begin() + static_cast<long>(n),
+                         segment.begin()));
+  const std::size_t ip_len = write_ip_header(pkt.ip, hdr);
+  EXPECT_EQ(Bytes(hdr.begin(), hdr.begin() + static_cast<long>(ip_len)),
+            serialize_ip_header(pkt.ip));
 }
 
 // -------------------------------------------------------------- summaries
