@@ -99,6 +99,12 @@ PathProfile draw_path_profile(Rng& rng, const VantagePoint& vp,
   return p;
 }
 
+/// The path seed a (vantage, server) pair gets when none is given;
+/// `vp_label` is Rng::hash_label(vp.name).
+u64 default_path_seed(u64 vp_label, net::IpAddr server_ip) {
+  return Rng::mix_seed({0xA117ULL, vp_label, server_ip});
+}
+
 mbox::MiddleboxConfig client_mbox_for(Provider provider) {
   switch (provider) {
     case Provider::kAliyun: return mbox::aliyun_profile();
@@ -118,8 +124,7 @@ PathProfile make_path_profile(const VantagePoint& vp, const ServerSpec& server,
                               const Calibration& cal, u64 path_seed) {
   Rng rng(path_seed != 0
               ? path_seed
-              : Rng::mix_seed({0xA117ULL, Rng::hash_label(vp.name),
-                               server.ip}));
+              : default_path_seed(Rng::hash_label(vp.name), server.ip));
   return draw_path_profile(rng, vp, cal);
 }
 
@@ -129,8 +134,11 @@ PathProfileCache::PathProfileCache(const std::vector<VantagePoint>& vps,
     : servers_(servers.size()) {
   profiles_.reserve(vps.size() * servers.size());
   for (const VantagePoint& vp : vps) {
+    // The vantage's label is hashed once per row, not once per pair.
+    const u64 vp_label = Rng::hash_label(vp.name);
     for (const ServerSpec& srv : servers) {
-      profiles_.push_back(make_path_profile(vp, srv, cal));
+      Rng rng(default_path_seed(vp_label, srv.ip));
+      profiles_.push_back(draw_path_profile(rng, vp, cal));
     }
   }
 }
@@ -139,8 +147,8 @@ Scenario::Scenario(const gfw::DetectionRules* rules, ScenarioOptions opt)
     : opt_(std::move(opt)),
       path_rng_(opt_.path_seed != 0
                     ? opt_.path_seed
-                    : Rng::mix_seed({0xA117ULL, Rng::hash_label(opt_.vp.name),
-                                     opt_.server.ip})),
+                    : default_path_seed(Rng::hash_label(opt_.vp.name),
+                                        opt_.server.ip)),
       rng_(Rng::mix_seed({opt_.seed, Rng::hash_label(opt_.vp.name),
                           opt_.server.ip})) {
   const Calibration& cal = opt_.cal;

@@ -184,8 +184,13 @@ class Scenario {
   Rng fork_rng() { return rng_.fork(); }
 
  private:
+  /// Events a flow keeps in flight at most, in practice (the queue depth
+  /// high-water mark of a paper trial is 7-9): the loop is sized for them
+  /// up front instead of regrowing for every new scenario.
+  static constexpr std::size_t kFlowPendingEvents = 16;
+
   ScenarioOptions opt_;
-  net::EventLoop loop_;
+  net::EventLoop loop_{kFlowPendingEvents};
   obs::TraceRecorder trace_;
   Rng path_rng_;
   Rng rng_;

@@ -95,6 +95,15 @@ void GfwDevice::process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) {
   trace_ = fwd.trace();
   trace_now_ = fwd.now();
   current_pkt_ = copy.trace_id;
+  metrics().packets_seen.inc();
+  // The GFW reassembles IP fragments itself (preferring the first copy of
+  // any overlapped range — the [17] behaviour that still holds). Whole
+  // packets need no reassembly and are inspected in place.
+  if (copy.ip.is_fragmented()) {
+    std::optional<net::Packet> whole = reassembler_.push(copy);
+    if (!whole) return;
+    copy = std::move(*whole);
+  }
   inspect(copy, dir, fwd);
 }
 
@@ -119,32 +128,27 @@ void GfwDevice::trace_ignore(const char* detail) {
 
 void GfwDevice::inspect(const net::Packet& pkt, net::Dir dir,
                         net::Forwarder& fwd) {
-  metrics().packets_seen.inc();
-  // The GFW reassembles IP fragments itself (preferring the first copy of
-  // any overlapped range — the [17] behaviour that still holds).
-  std::optional<net::Packet> whole = reassembler_.push(pkt);
-  if (!whole) return;
-  if (!whole->is_tcp()) return;  // UDP DNS is the DnsPoisoner's job
+  if (!pkt.is_tcp()) return;  // UDP DNS is the DnsPoisoner's job
 
   // Tor aftermath: a confirmed-bridge IP is blocked on every port.
-  if (ip_blocklist_.contains(whole->ip.dst) ||
-      ip_blocklist_.contains(whole->ip.src)) {
+  if (ip_blocklist_.contains(pkt.ip.dst) ||
+      ip_blocklist_.contains(pkt.ip.src)) {
     metrics().ip_block_hits.inc();
     trace_state(obs::GfwState::kNone, obs::GfwState::kNone,
                 obs::GfwBehavior::kIpBlock,
                 "endpoint on the IP blocklist; injecting response");
-    inject_all(injector_.ip_block_response(*whole, dir), fwd);
+    inject_all(injector_.ip_block_response(pkt, dir), fwd);
     return;
   }
 
   // 90-second host-pair blocking period after a detection.
   if (cfg_.enforce_block_period &&
-      host_pair_blocked(whole->ip.src, whole->ip.dst, fwd.now())) {
+      host_pair_blocked(pkt.ip.src, pkt.ip.dst, fwd.now())) {
     metrics().block_period_hits.inc();
     trace_state(obs::GfwState::kNone, obs::GfwState::kNone,
                 obs::GfwBehavior::kBlockPeriod,
                 "host pair inside the 90 s block period; forging responses");
-    auto injections = injector_.block_period_response(*whole, dir);
+    auto injections = injector_.block_period_response(pkt, dir);
     for (const auto& inj : injections) {
       if (inj.packet.tcp->flags.syn && inj.packet.tcp->flags.ack) {
         ++forged_syn_acks_;
@@ -155,13 +159,13 @@ void GfwDevice::inspect(const net::Packet& pkt, net::Dir dir,
     return;
   }
 
-  const net::TcpHeader& t = *whole->tcp;
+  const net::TcpHeader& t = *pkt.tcp;
 
   // NOTE the deliberate absence of validation here: wrong checksums,
   // unsolicited MD5 options, wrong ACK numbers and stale timestamps are
   // all processed as if valid (Table 3's GFW column). The harden_* flags
   // below model the §8 countermeasures and default off.
-  if (cfg_.harden_validate_checksum && !net::transport_checksum_ok(*whole)) {
+  if (cfg_.harden_validate_checksum && !net::transport_checksum_ok(pkt)) {
     trace_ignore("bad transport checksum dropped by hardened GFW");
     return;
   }
@@ -171,20 +175,20 @@ void GfwDevice::inspect(const net::Packet& pkt, net::Dir dir,
   }
 
   if (t.flags.rst) {
-    if (handle_rst(*whole, dir)) return;
+    if (handle_rst(pkt, dir)) return;
   }
-  if (!cfg_.evolved && handle_fin_teardown(*whole)) return;
+  if (!cfg_.evolved && handle_fin_teardown(pkt)) return;
 
   if (t.flags.syn && t.flags.ack) {
-    handle_syn_ack(*whole, dir);
+    handle_syn_ack(pkt, dir);
     return;
   }
   if (t.flags.syn) {
-    handle_syn(*whole, dir);
+    handle_syn(pkt, dir);
     return;
   }
 
-  handle_payload(*whole, dir, fwd);
+  handle_payload(pkt, dir, fwd);
 }
 
 bool GfwDevice::handle_rst(const net::Packet& pkt, net::Dir dir) {

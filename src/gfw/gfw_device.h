@@ -52,6 +52,10 @@ class GfwDevice final : public net::PathElement {
   const GfwConfig& config() const { return cfg_; }
   const GfwTcb* find_tcb(const net::FourTuple& tuple) const;
   std::size_t tcb_count() const { return tcbs_.size(); }
+  /// IP datagrams with fragments still outstanding.
+  std::size_t pending_fragments() const {
+    return reassembler_.pending_datagrams();
+  }
   bool host_pair_blocked(net::IpAddr a, net::IpAddr b, SimTime now) const;
   bool ip_blocked(net::IpAddr ip) const { return ip_blocklist_.contains(ip); }
 

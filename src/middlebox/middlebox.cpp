@@ -45,7 +45,9 @@ void Middlebox::process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) {
 
   if (pkt.is_tcp()) {
     const net::TcpHeader& t = *pkt.tcp;
-    if (!net::transport_checksum_ok(pkt) && should_drop(cfg_.wrong_checksum)) {
+    // kPass never drops (and draws nothing), so skip the checksum there.
+    if (cfg_.wrong_checksum != DropMode::kPass &&
+        !net::transport_checksum_ok(pkt) && should_drop(cfg_.wrong_checksum)) {
       ++dropped_;
       fwd.drop(pkt, "wrong TCP checksum");
       return;

@@ -10,6 +10,7 @@
 #include "core/clock.h"
 #include "core/log.h"
 #include "core/types.h"
+#include "netsim/packet.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -27,12 +28,32 @@ struct RunResult {
   operator std::size_t() const { return executed; }
 };
 
+/// Receiver of typed packet events: a packet handed back at its scheduled
+/// time with the `tag` and `aux` words the scheduler chose (Path encodes
+/// the next stop and direction in them). Typed events carry no closure, so
+/// moving a packet one hop costs no allocation.
+class PacketTarget {
+ public:
+  virtual void on_packet_event(Packet pkt, u32 tag, u64 aux) = 0;
+
+ protected:
+  ~PacketTarget() = default;
+};
+
 /// Min-heap event loop. Events scheduled for the same instant run in
 /// scheduling order (a monotonically increasing tiebreaker guarantees
-/// determinism).
+/// determinism); typed packet events and closures share that order.
 class EventLoop {
  public:
   using Action = std::function<void()>;
+
+  EventLoop() = default;
+  /// Pre-size the queue and the slot pool for `pending_events` events in
+  /// flight, so a loop that lives for one flow never regrows them.
+  explicit EventLoop(std::size_t pending_events) {
+    queue_.reserve(pending_events);
+    slots_.reserve(pending_events);
+  }
 
   SimTime now() const { return clock_.now(); }
   const VirtualClock& clock() const { return clock_; }
@@ -44,14 +65,29 @@ class EventLoop {
   /// Monotonic like everything else on the clock; a no-op for t <= now().
   void start_at(SimTime t) { clock_.advance_to(t); }
 
+  /// Timer event: run `action` at `when`.
   void schedule_at(SimTime when, Action action) {
-    queue_.push_back(Event{when, next_seq_++, std::move(action)});
-    std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
-    metrics().queue_depth_hwm.max_of(static_cast<double>(queue_.size()));
+    const u32 slot = acquire_slot();
+    slots_[slot].action = std::move(action);
+    push(when, slot);
   }
 
   void schedule_after(SimTime delay, Action action) {
     schedule_at(now() + delay, std::move(action));
+  }
+
+  /// Typed packet event: at `when`, call
+  /// `target->on_packet_event(pkt, tag, aux)`. The packet waits in a pooled
+  /// slot; `target` must outlive the event.
+  void schedule_packet_at(SimTime when, PacketTarget* target, u32 tag,
+                          Packet pkt, u64 aux = 0) {
+    const u32 slot = acquire_slot();
+    Slot& s = slots_[slot];
+    s.target = target;
+    s.tag = tag;
+    s.aux = aux;
+    s.pkt = std::move(pkt);
+    push(when, slot);
   }
 
   /// Run until the queue drains or `max_events` fire (a bound guards
@@ -128,33 +164,85 @@ class EventLoop {
       }
     }
   }
-  /// Pop the earliest event and run it. The event is moved out of the
-  /// heap, not copied: its action usually captures a whole Packet.
-  void run_next() {
-    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-    Event ev = std::move(queue_.back());
-    queue_.pop_back();
-    clock_.advance_to(ev.when);
-    ev.action();
-  }
+  /// One pending event's payload: a packet for its target, or a closure
+  /// when `target` is null. Free slots chain through `next_free`.
+  struct Slot {
+    PacketTarget* target = nullptr;
+    u32 tag = 0;
+    u32 next_free = 0;
+    u64 aux = 0;
+    Packet pkt;
+    Action action;
+  };
 
-  struct Event {
+  /// Heap entry: the ordering key and the slot holding the event.
+  struct Key {
     SimTime when;
     u64 seq;
-    Action action;
+    u32 slot;
 
-    bool operator>(const Event& other) const {
+    bool operator>(const Key& other) const {
       if (when != other.when) return other.when < when;
       return seq > other.seq;
     }
   };
+
+  static constexpr u32 kNoSlot = ~u32{0};
+
+  u32 acquire_slot() {
+    if (free_head_ == kNoSlot) {
+      slots_.emplace_back();
+      return static_cast<u32>(slots_.size() - 1);
+    }
+    const u32 slot = free_head_;
+    free_head_ = slots_[slot].next_free;
+    return slot;
+  }
+
+  void release_slot(u32 slot) {
+    slots_[slot].next_free = free_head_;
+    free_head_ = slot;
+  }
+
+  void push(SimTime when, u32 slot) {
+    queue_.push_back(Key{when, next_seq_++, slot});
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+    metrics().queue_depth_hwm.max_of(static_cast<double>(queue_.size()));
+  }
+
+  /// Pop the earliest event and run it. Its payload is moved out of the
+  /// slot and the slot freed first, so the event may schedule more events
+  /// (which can regrow the pool) while it runs.
+  void run_next() {
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+    const Key key = queue_.back();
+    queue_.pop_back();
+    clock_.advance_to(key.when);
+    Slot& s = slots_[key.slot];
+    if (PacketTarget* target = s.target) {
+      s.target = nullptr;
+      const u32 tag = s.tag;
+      const u64 aux = s.aux;
+      Packet pkt = std::move(s.pkt);
+      release_slot(key.slot);
+      target->on_packet_event(std::move(pkt), tag, aux);
+    } else {
+      Action action = std::move(s.action);
+      s.action = nullptr;
+      release_slot(key.slot);
+      action();
+    }
+  }
 
   VirtualClock clock_;
   u64 next_seq_ = 0;
   obs::TraceRecorder* trace_ = nullptr;
   // Min-heap on (when, seq) kept with push_heap/pop_heap; (when, seq) is a
   // strict total order, so the pop order does not depend on the heap.
-  std::vector<Event> queue_;
+  std::vector<Key> queue_;
+  // Event payloads, reused across events through the free list.
+  std::vector<Slot> slots_;
+  u32 free_head_ = kNoSlot;
 };
 
 }  // namespace ys::net

@@ -43,9 +43,10 @@ class FragmentReassembler {
  public:
   explicit FragmentReassembler(OverlapPolicy policy) : policy_(policy) {}
 
-  /// Feed one fragment (or a whole packet, which passes straight through).
-  /// Returns the fully reassembled packet once every byte of the datagram
-  /// is present, otherwise nullopt.
+  /// Feed one fragment. Returns the fully reassembled packet once every
+  /// byte of the datagram is present, otherwise nullopt. Whole packets need
+  /// no reassembly: callers gate on `ip.is_fragmented()` and use them in
+  /// place (one passed here anyway comes back as an unchanged copy).
   std::optional<Packet> push(const Packet& pkt);
 
   /// Drop partial state older than callers care about (simple flush; the

@@ -78,9 +78,8 @@ class Path::ForwarderImpl final : public Forwarder {
         (path_.trace_ != nullptr && cause_packet_id != 0)
             ? path_.trace_->event_for_packet(cause_packet_id)
             : 0;
-    const std::string actor = path_.elements_[static_cast<std::size_t>(index_)]
-                                  .element->name();
     if (path_.fault_hook_ != nullptr) {
+      const std::string actor = path_.actor_name(index_);
       const FaultHook::InjectAction act =
           path_.fault_hook_->on_inject(actor, path_.loop_.now());
       if (act.suppress) {
@@ -94,24 +93,16 @@ class Path::ForwarderImpl final : public Forwarder {
       delay = delay + SimTime::from_us(act.extra_delay_us);
     }
     Path::metrics().injected.inc();
-    const int position = position_;
-    const int index = index_;
-    Path* path = &path_;
-    path_.loop_.schedule_after(delay, [path, actor, position, index, dir,
-                                       cause_event,
-                                       pkt = std::move(pkt)]() mutable {
-      path->trace_packet(obs::TraceKind::kInject, actor, pkt, dir,
-                         cause_event);
-      path->transit(std::move(pkt), dir, position, index);
-    });
+    path_.loop_.schedule_packet_at(path_.loop_.now() + delay, &path_,
+                                   event_tag(index_, dir, true),
+                                   std::move(pkt), cause_event);
   }
 
   void drop(const Packet& pkt, std::string_view reason) override {
     Path::metrics().element_drops.inc();
     if (path_.trace_ != nullptr) {
-      const std::string actor =
-          path_.elements_[static_cast<std::size_t>(index_)].element->name();
-      path_.trace_packet(obs::TraceKind::kDrop, actor, pkt, dir_,
+      path_.trace_packet(obs::TraceKind::kDrop, path_.actor_name(index_),
+                         pkt, dir_,
                          path_.trace_->event_for_packet(pkt.trace_id),
                          std::string(reason).c_str());
     }
@@ -131,7 +122,11 @@ class Path::ForwarderImpl final : public Forwarder {
 };
 
 Path::Path(EventLoop& loop, Rng rng, PathConfig cfg, obs::TraceRecorder* trace)
-    : loop_(loop), rng_(rng), cfg_(cfg), trace_(trace) {}
+    : loop_(loop), rng_(rng), cfg_(cfg), trace_(trace) {
+  elements_.reserve(kTypicalElements);
+  fifo_floor_.reserve((kTypicalElements + 1) * 2);
+  fifo_floor_.resize(2);  // the two endpoints
+}
 
 u64 Path::trace_packet(obs::TraceKind kind, const std::string& actor,
                        const Packet& pkt, Dir dir, u64 caused_by,
@@ -160,6 +155,7 @@ void Path::attach(int position, PathElement* element) {
   obs::Counter& events = obs::MetricsRegistry::current().counter(
       "netsim.actor_events." + sanitize_actor(element->name()));
   elements_.insert(it, Attachment{position, element, &events});
+  fifo_floor_.resize((elements_.size() + 1) * 2);
 }
 
 void Path::send_from_client(Packet pkt) {
@@ -271,12 +267,9 @@ void Path::transit(Packet pkt, Dir dir, int from_pos, int after_index) {
   // later never arrives earlier (router queues don't reorder a flow). A
   // fault-layer reorder window bypasses the clamp — true reordering beyond
   // what jitter can produce — without lowering the floor for others.
-  const u64 fifo_key =
-      (static_cast<u64>(next_index + 2) << 1) |
-      (dir == Dir::kC2S ? 0u : 1u);
   SimTime deliver_at = loop_.now() + delay;
   if (!fault.bypass_fifo) {
-    SimTime& floor = fifo_floor_[fifo_key];
+    SimTime& floor = fifo_floor(next_index, dir);
     if (deliver_at < floor) {
       // Jitter alone would have reordered this packet past an earlier one on
       // the same segment; the FIFO clamp is where "reordering pressure" shows.
@@ -288,38 +281,36 @@ void Path::transit(Packet pkt, Dir dir, int from_pos, int after_index) {
 
   Packet dup;
   if (fault.duplicate) dup = pkt;  // copy before the schedule moves it
+  const u32 tag = event_tag(next_index, dir, false);
+  loop_.schedule_packet_at(deliver_at, this, tag, std::move(pkt));
+  if (!fault.duplicate) return;
 
-  if (next_index >= 0) {
-    loop_.schedule_at(deliver_at,
-                      [this, pkt = std::move(pkt), dir, next_index]() mutable {
-                        deliver_to_element(std::move(pkt), dir, next_index);
-                      });
-  } else {
-    loop_.schedule_at(deliver_at, [this, pkt = std::move(pkt), dir]() mutable {
-      deliver_to_endpoint(std::move(pkt), dir);
-    });
+  // The copy trails the original by one hop latency and respects the
+  // same FIFO floor, like a retransmitting link layer.
+  metrics().fault_duplicates.inc();
+  SimTime dup_at = deliver_at + SimTime::from_us(cfg_.per_hop_latency_us);
+  if (!fault.bypass_fifo) {
+    SimTime& floor = fifo_floor(next_index, dir);
+    if (dup_at < floor) dup_at = floor;
+    floor = dup_at;
   }
+  loop_.schedule_packet_at(dup_at, this, tag, std::move(dup));
+}
 
-  if (fault.duplicate) {
-    // The copy trails the original by one hop latency and respects the
-    // same FIFO floor, like a retransmitting link layer.
-    metrics().fault_duplicates.inc();
-    SimTime dup_at = deliver_at + SimTime::from_us(cfg_.per_hop_latency_us);
-    if (!fault.bypass_fifo) {
-      SimTime& floor = fifo_floor_[fifo_key];
-      if (dup_at < floor) dup_at = floor;
-      floor = dup_at;
+void Path::on_packet_event(Packet pkt, u32 tag, u64 aux) {
+  const int index = static_cast<int>(tag >> 2) - 1;
+  const Dir dir = (tag & 2u) != 0 ? Dir::kS2C : Dir::kC2S;
+  if ((tag & 1u) != 0) {
+    // A delayed injection leaves its element now; `aux` is its cause.
+    if (trace_ != nullptr) {
+      trace_packet(obs::TraceKind::kInject, actor_name(index), pkt, dir, aux);
     }
-    if (next_index >= 0) {
-      loop_.schedule_at(dup_at,
-                        [this, pkt = std::move(dup), dir, next_index]() mutable {
-                          deliver_to_element(std::move(pkt), dir, next_index);
-                        });
-    } else {
-      loop_.schedule_at(dup_at, [this, pkt = std::move(dup), dir]() mutable {
-        deliver_to_endpoint(std::move(pkt), dir);
-      });
-    }
+    transit(std::move(pkt), dir,
+            elements_[static_cast<std::size_t>(index)].position, index);
+  } else if (index >= 0) {
+    deliver_to_element(std::move(pkt), dir, index);
+  } else {
+    deliver_to_endpoint(std::move(pkt), dir);
   }
 }
 

@@ -134,7 +134,8 @@ struct PathConfig {
 };
 
 /// Linear bidirectional path with TTL, latency, jitter, and loss semantics.
-class Path {
+/// Packets in flight are typed loop events addressed to the path itself.
+class Path : private PacketTarget {
  public:
   using PacketSink = std::function<void(Packet)>;
   /// Client-side capture tap: sees every packet the client sends or
@@ -207,6 +208,10 @@ class Path {
 
   class ForwarderImpl;
 
+  /// Elements a path is sized for up front (a Scenario attaches 4-6), so
+  /// building one does not regrow its element and FIFO-floor vectors.
+  static constexpr std::size_t kTypicalElements = 8;
+
   int endpoint_position(Dir dir) const {
     return dir == Dir::kC2S ? cfg_.server_hops + hop_shift_ : 0;
   }
@@ -216,8 +221,29 @@ class Path {
   /// in elements_ the packet last visited (-1 when leaving an endpoint).
   void transit(Packet pkt, Dir dir, int from_pos, int after_index);
 
+  /// Packet-event tags: the next stop (element index, or -1 for the
+  /// endpoint), the direction, and whether the event is a delayed
+  /// injection from that element (whose cause event rides in `aux`).
+  static u32 event_tag(int index, Dir dir, bool inject) {
+    return (static_cast<u32>(index + 1) << 2) |
+           (dir == Dir::kS2C ? 2u : 0u) | (inject ? 1u : 0u);
+  }
+  void on_packet_event(Packet pkt, u32 tag, u64 aux) override;
+
+  /// FIFO floor slot of a next stop (element index, -1 = endpoint).
+  SimTime& fifo_floor(int stop, Dir dir) {
+    return fifo_floor_[static_cast<std::size_t>(stop + 1) * 2 +
+                       (dir == Dir::kC2S ? 0u : 1u)];
+  }
+
   void deliver_to_element(Packet pkt, Dir dir, int index);
   void deliver_to_endpoint(Packet pkt, Dir dir);
+
+  /// Trace/fault actor name of the element at `index` (built on demand:
+  /// only tracing and the fault hook read it).
+  std::string actor_name(int index) const {
+    return elements_[static_cast<std::size_t>(index)].element->name();
+  }
 
   /// Record a packet-lifecycle event; no-op (and builds no strings) when
   /// tracing is off. Returns the event id (0 untraced).
@@ -236,10 +262,10 @@ class Path {
   CaptureFn client_capture_;
   int hop_shift_ = 0;
   u64 next_trace_id_ = 1;
-  /// FIFO floor per (next stop, direction): jitter may stretch latency but
-  /// packets on one path segment never overtake each other, like real
-  /// router queues.
-  std::unordered_map<u64, SimTime> fifo_floor_;
+  /// FIFO floor per (next stop, direction), see fifo_floor(): jitter may
+  /// stretch latency but packets on one path segment never overtake each
+  /// other, like real router queues.
+  std::vector<SimTime> fifo_floor_;
   std::size_t to_server_count_ = 0;
   std::size_t to_client_count_ = 0;
 };

@@ -68,20 +68,23 @@ void Host::transmit(net::Packet pkt) {
 
 void Host::handle_wire(net::Packet pkt) {
   // IP-layer reassembly first: hosts always reassemble before the
-  // transport layer sees anything.
-  std::optional<net::Packet> whole = reassembler_.push(pkt);
-  if (!whole) return;  // waiting for more fragments
-
-  received_.push_back(*whole);
-
-  if (ingress_hook_) {
-    if (ingress_hook_(*whole) == Verdict::kDrop) return;
+  // transport layer sees anything. Whole packets need none.
+  if (pkt.ip.is_fragmented()) {
+    std::optional<net::Packet> whole = reassembler_.push(pkt);
+    if (!whole) return;  // waiting for more fragments
+    pkt = std::move(*whole);
   }
 
-  if (whole->is_tcp()) {
-    handle_tcp(*whole);
-  } else if (whole->is_udp()) {
-    handle_udp(*whole);
+  received_.push_back(pkt);
+
+  if (ingress_hook_) {
+    if (ingress_hook_(pkt) == Verdict::kDrop) return;
+  }
+
+  if (pkt.is_tcp()) {
+    handle_tcp(pkt);
+  } else if (pkt.is_udp()) {
+    handle_udp(pkt);
   }
 }
 

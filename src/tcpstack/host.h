@@ -21,7 +21,7 @@ namespace ys::tcp {
 
 enum class HostSide { kClient, kServer };
 
-class Host {
+class Host : private net::PacketTarget {
  public:
   struct Config {
     std::string name = "host";
@@ -77,6 +77,10 @@ class Host {
   /// Raw send that skips the egress hook — used by the hook implementation
   /// itself to emit insertion packets without recursing.
   void send_raw_unhooked(net::Packet pkt);
+  /// send_raw_unhooked() after `delay`, as a typed loop event (no closure).
+  void send_raw_unhooked_after(SimTime delay, net::Packet pkt) {
+    loop_.schedule_packet_at(loop_.now() + delay, this, 0, std::move(pkt));
+  }
 
   /// Deliver a packet to this host's own IP layer as if it had arrived
   /// from the wire (loopback). INTANG's DNS forwarder uses this to hand a
@@ -100,12 +104,20 @@ class Host {
   /// scanning this for GFW reset fingerprints.
   const std::vector<net::Packet>& received_log() const { return received_; }
 
+  /// IP datagrams with fragments still outstanding.
+  std::size_t pending_fragments() const {
+    return reassembler_.pending_datagrams();
+  }
+
   /// Ignore events from packets that matched no endpoint.
   const std::vector<IgnoreEvent>& demux_ignores() const {
     return demux_ignores_;
   }
 
  private:
+  void on_packet_event(net::Packet pkt, u32, u64) override {
+    send_raw_unhooked(std::move(pkt));
+  }
   void handle_wire(net::Packet pkt);
   void handle_tcp(const net::Packet& pkt);
   void handle_udp(const net::Packet& pkt);

@@ -140,6 +140,104 @@ TEST(EventLoop, RunningAnEventMovesItOutOfTheQueue) {
   EXPECT_LE(after.count - before.count, executed);
 }
 
+/// Packet-event target that logs "p<seq>" and runs an optional reaction.
+struct RecordingTarget final : PacketTarget {
+  std::vector<std::string>* order = nullptr;
+  std::function<void(const Packet&)> react;
+
+  void on_packet_event(Packet pkt, u32 tag, u64 aux) override {
+    EXPECT_EQ(tag, 7u);
+    EXPECT_EQ(aux, 42u);
+    order->push_back("p" + std::to_string(pkt.tcp->seq));
+    if (react) react(pkt);
+  }
+};
+
+TEST(EventLoop, TypedPacketEventsAndClosuresShareSchedulingOrder) {
+  EventLoop loop;
+  std::vector<std::string> order;
+  RecordingTarget target;
+  target.order = &order;
+  const SimTime t = SimTime::from_ms(5);
+  auto packet_at = [&](SimTime when, u32 seq) {
+    loop.schedule_packet_at(when, &target, 7, probe(64, seq), 42);
+  };
+  target.react = [&](const Packet& pkt) {
+    // Packet events schedule more same-instant work, like a hop that
+    // delivers at once.
+    if (pkt.tcp->seq == 1) {
+      loop.schedule_at(t, [&] { order.push_back("c"); });
+      packet_at(t, 3);
+    }
+  };
+  loop.schedule_at(t, [&] {
+    order.push_back("a");
+    packet_at(t, 2);
+    loop.schedule_at(t, [&] { order.push_back("b"); });
+  });
+  packet_at(t, 1);
+  loop.schedule_at(t, [&] { order.push_back("z"); });
+  loop.schedule_at(SimTime::from_ms(4), [&] {
+    order.push_back("early");
+    packet_at(t, 4);
+  });
+  loop.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"early", "a", "p1", "z", "p4", "p2", "b",
+                                      "c", "p3"}));
+  EXPECT_TRUE(loop.idle());
+}
+
+/// Packet-event target that sends each packet on to the next hop until
+/// its chain runs out, like Path moving a packet element to element.
+struct RelayTarget final : PacketTarget {
+  EventLoop* loop = nullptr;
+  std::vector<int>* left = nullptr;
+  void on_packet_event(Packet pkt, u32 tag, u64) override {
+    int& l = (*left)[tag];
+    if (--l <= 0) return;
+    loop->schedule_packet_at(loop->now() + SimTime::from_us(1), this, tag,
+                             std::move(pkt));
+  }
+};
+
+TEST(EventLoop, TypedPacketEventsAllocateNothingAfterWarmUp) {
+  if (!obs::perf::alloc_hook_available()) {
+    GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+  }
+  EventLoop loop;
+  std::vector<int> left(8);
+  RelayTarget relay;
+  relay.loop = &loop;
+  relay.left = &left;
+  std::vector<Packet> pkts(left.size());
+  auto chains = [&](int events_per_chain) {
+    for (u32 c = 0; c < left.size(); ++c) {
+      left[c] = events_per_chain;
+      loop.schedule_packet_at(loop.now() + SimTime::from_us(1), &relay, c,
+                              std::move(pkts[c]));
+    }
+  };
+  auto fresh_packets = [&] {
+    for (Packet& pkt : pkts) {
+      pkt = probe(64);
+      pkt.payload = Bytes(200, 0xAB);
+    }
+  };
+  fresh_packets();
+  chains(4);  // warm up: metric bindings, queue and slot capacity
+  loop.run();
+
+  fresh_packets();
+  constexpr int kPerChain = 100;
+  const auto before = obs::perf::thread_alloc_counters();
+  chains(kPerChain);
+  const std::size_t executed = loop.run();
+  const auto after = obs::perf::thread_alloc_counters();
+  ASSERT_EQ(executed, left.size() * kPerChain);
+  EXPECT_EQ(after.count - before.count, 0u);
+}
+
 // ------------------------------------------------------------------- Path
 
 struct PathFixture {
@@ -302,6 +400,169 @@ TEST(Path, FifoNoReorderingUnderJitter) {
   for (u32 i = 0; i < 50; ++i) {
     EXPECT_EQ(fx.at_server[i].tcp->seq, i) << "reordered at " << i;
   }
+}
+
+/// Packets split by direction: probes from the client carry seq < 1000,
+/// probes from the server seq >= 1000.
+std::vector<u32> seqs(const std::vector<Packet>& pkts, bool from_client) {
+  std::vector<u32> out;
+  for (const Packet& p : pkts) {
+    if ((p.tcp->seq < 1000) == from_client) out.push_back(p.tcp->seq);
+  }
+  return out;
+}
+
+std::vector<u32> iota_seqs(u32 first, u32 n) {
+  std::vector<u32> out;
+  for (u32 i = 0; i < n; ++i) out.push_back(first + i);
+  return out;
+}
+
+/// Sends `n` probes each way, 50 us apart (well inside the jitter), so
+/// every segment sees packets that jitter alone would reorder.
+void send_both_ways(PathFixture& fx, u32 n) {
+  for (u32 i = 0; i < n; ++i) {
+    fx.loop.schedule_at(SimTime::from_us(50 * i), [&fx, i] {
+      fx.path.send_from_client(probe(64, i));
+      fx.path.send_from_server(probe(64, 1000 + i));
+    });
+  }
+}
+
+PathConfig jittery_config() {
+  PathConfig cfg;
+  cfg.server_hops = 12;
+  cfg.jitter_us = 500;
+  cfg.per_link_loss = 0.0;
+  return cfg;
+}
+
+TEST(Path, FifoHoldsPerStopAndDirectionAcrossElements) {
+  PathFixture fx(jittery_config());
+  TapElement near_client("near-client");
+  TapElement mid_a("mid-a");
+  TapElement mid_b("mid-b");  // stacked with mid-a at one router
+  TapElement near_server("near-server");
+  fx.path.attach(7, &mid_a);
+  fx.path.attach(10, &near_server);
+  fx.path.attach(3, &near_client);
+  fx.path.attach(7, &mid_b);
+  send_both_ways(fx, 40);
+  fx.loop.run();
+
+  const std::vector<u32> c2s = iota_seqs(0, 40);
+  const std::vector<u32> s2c = iota_seqs(1000, 40);
+  EXPECT_EQ(seqs(fx.at_server, true), c2s);
+  EXPECT_EQ(seqs(fx.at_client, false), s2c);
+  for (const TapElement* tap : {&near_client, &mid_a, &mid_b, &near_server}) {
+    EXPECT_EQ(seqs(tap->seen, true), c2s) << tap->name();
+    EXPECT_EQ(seqs(tap->seen, false), s2c) << tap->name();
+  }
+}
+
+TEST(Path, FifoFloorsAreKeptPerDirection) {
+  PathFixture fx;  // no jitter
+  TapElement near_client("near-client");
+  fx.path.attach(2, &near_client);
+  // The server's packet takes 8 hops to reach the element, the client's,
+  // sent later, only 2: it must not queue behind the other direction.
+  fx.path.send_from_server(probe(64, 1000));
+  fx.loop.schedule_at(SimTime::from_us(100),
+                      [&fx] { fx.path.send_from_client(probe(64, 0)); });
+  fx.loop.run();
+  ASSERT_EQ(near_client.seen.size(), 2u);
+  EXPECT_EQ(near_client.seen[0].tcp->seq, 0u);
+  EXPECT_EQ(near_client.seen[1].tcp->seq, 1000u);
+}
+
+/// Fault hook driven by per-packet rules, consulted on the first segment
+/// each packet crosses (leaving its endpoint).
+class RuleHook final : public FaultHook {
+ public:
+  explicit RuleHook(int server_hops) : server_hops_(server_hops) {}
+  std::function<LinkAction(u32 seq)> rule;
+
+  LinkAction on_segment(const Packet& pkt, Dir dir, int from_pos, int,
+                        SimTime) override {
+    const bool leaving_endpoint =
+        from_pos == (dir == Dir::kC2S ? 0 : server_hops_);
+    return leaving_endpoint ? rule(pkt.tcp->seq) : LinkAction{};
+  }
+  InjectAction on_inject(const std::string&, SimTime) override { return {}; }
+
+ private:
+  int server_hops_;
+};
+
+TEST(Path, FaultDuplicatesTrailTheirOriginals) {
+  PathFixture fx(jittery_config());
+  TapElement near_client("near-client");
+  TapElement mid("mid");
+  fx.path.attach(3, &near_client);
+  fx.path.attach(7, &mid);
+  RuleHook hook(12);
+  hook.rule = [](u32 seq) {
+    FaultHook::LinkAction act;
+    act.duplicate = seq % 5 == 0;
+    act.reason = "dup";
+    return act;
+  };
+  fx.path.set_fault_hook(&hook);
+  send_both_ways(fx, 20);
+  fx.loop.run();
+
+  std::vector<u32> c2s;
+  std::vector<u32> s2c;
+  for (u32 i = 0; i < 20; ++i) {
+    for (int copies = i % 5 == 0 ? 2 : 1; copies > 0; --copies) {
+      c2s.push_back(i);
+      s2c.push_back(1000 + i);
+    }
+  }
+  EXPECT_EQ(seqs(fx.at_server, true), c2s);
+  EXPECT_EQ(seqs(fx.at_client, false), s2c);
+  for (const TapElement* tap : {&near_client, &mid}) {
+    EXPECT_EQ(seqs(tap->seen, true), c2s) << tap->name();
+    EXPECT_EQ(seqs(tap->seen, false), s2c) << tap->name();
+  }
+}
+
+TEST(Path, BypassingTheFifoLeavesTheFloorForOthers) {
+  PathFixture fx(jittery_config());
+  TapElement mid("mid");
+  fx.path.attach(6, &mid);
+  RuleHook hook(12);
+  hook.rule = [](u32 seq) {
+    FaultHook::LinkAction act;
+    // Packet 10 is held far back and must not drag the rest with it;
+    // packet 20 skips the clamp with no delay and must not lower the
+    // floor the packets behind it keep to.
+    act.bypass_fifo = seq == 10 || seq == 20;
+    act.extra_delay_us = seq == 10 ? 20'000 : 0;
+    act.reason = "reorder";
+    return act;
+  };
+  fx.path.set_fault_hook(&hook);
+  std::vector<SimTime> arrival(30);
+  fx.path.set_server_sink([&](Packet p) {
+    arrival[p.tcp->seq] = fx.loop.now();
+    fx.at_server.push_back(std::move(p));
+  });
+  for (u32 i = 0; i < 30; ++i) fx.path.send_from_client(probe(64, i));
+  fx.loop.run();
+
+  ASSERT_EQ(fx.at_server.size(), 30u);
+  std::vector<u32> others;
+  for (const Packet& p : fx.at_server) {
+    if (p.tcp->seq != 10 && p.tcp->seq != 20) others.push_back(p.tcp->seq);
+  }
+  std::vector<u32> want;
+  for (u32 i = 0; i < 30; ++i) {
+    if (i != 10 && i != 20) want.push_back(i);
+  }
+  EXPECT_EQ(others, want);
+  EXPECT_EQ(fx.at_server.back().tcp->seq, 10u);
+  EXPECT_LT(arrival[29], arrival[10]);
 }
 
 TEST(Path, LossIsApplied) {
