@@ -110,7 +110,7 @@ struct PacketHops final : net::PacketTarget {
   net::EventLoop* loop = nullptr;
   int left = 0;
 
-  void on_packet_event(net::Packet pkt, u32 tag, u64) override {
+  void on_packet_event(net::Packet& pkt, u32 tag, u64) override {
     if (--left > 0) {
       loop->schedule_packet_at(loop->now() + SimTime::from_us(1), this, tag,
                                std::move(pkt));

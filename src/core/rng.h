@@ -7,6 +7,7 @@
 // well-studied.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <string_view>
 
@@ -83,8 +84,25 @@ class Rng {
   bool chance(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
-    return uniform01() < p;
+    return draw_below(chance_threshold(p));
   }
+
+  /// chance(p)'s draw as an integer compare: for p in (0, 1),
+  /// `uniform01() < p` exactly when `(next_u64() >> 11) < chance_threshold(p)`,
+  /// because uniform01() is that 53-bit integer times the exact power
+  /// 2^-53. The threshold is ceil(p * 2^53), taken without a libm call
+  /// (the product is exact and below 2^53, so both conversions are too).
+  /// A caller drawing with one p many times computes it once. Values of
+  /// p >= 1 give 2^53 (always below); p <= 0 and NaN give 0 (never).
+  static u64 chance_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    const double x = std::min(p, 1.0) * 0x1p53;
+    const i64 floor_x = static_cast<i64>(x);
+    return static_cast<u64>(floor_x + (static_cast<double>(floor_x) < x ? 1 : 0));
+  }
+
+  /// One 53-bit draw compared against a chance_threshold().
+  bool draw_below(u64 threshold) { return (next_u64() >> 11) < threshold; }
 
   /// Fork an independent child stream (e.g. per connection).
   Rng fork() { return Rng(next_u64()); }

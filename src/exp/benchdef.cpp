@@ -141,7 +141,7 @@ Replay traced_dns_run(Scenario& sc, const DnsTrialOptions& dns,
 Table1Bench::Table1Bench(BenchScale scale)
     : scale_(scale),
       cal_(Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
+      rules_(&gfw::DetectionRules::standard()),
       vps_(china_vantage_points()),
       servers_(make_server_population(scale_.servers, scale_.seed, cal_,
                                       /*inside_china=*/true)),
@@ -179,7 +179,7 @@ ScenarioOptions Table1Bench::options_for(const runner::GridCoord& c,
 }
 
 TrialResult Table1Bench::run_trial(const runner::GridCoord& c) const {
-  Scenario sc(&rules_, options_for(c, /*tracing=*/false));
+  Scenario sc(rules_, options_for(c, /*tracing=*/false));
   HttpTrialOptions http;
   http.with_keyword = keyword_cell(c.cell);
   http.strategy = rows()[row_of(c.cell)].id;
@@ -189,7 +189,7 @@ TrialResult Table1Bench::run_trial(const runner::GridCoord& c) const {
 Replay Table1Bench::replay(const runner::GridCoord& c,
                            const std::string& trace_path,
                            const std::string& pcap_path) const {
-  Scenario sc(&rules_, options_for(c, /*tracing=*/true));
+  Scenario sc(rules_, options_for(c, /*tracing=*/true));
   HttpTrialOptions http;
   http.with_keyword = keyword_cell(c.cell);
   http.strategy = rows()[row_of(c.cell)].id;
@@ -201,7 +201,7 @@ Replay Table1Bench::replay(const runner::GridCoord& c,
 Table4Inside::Table4Inside(BenchScale scale)
     : scale_(scale),
       cal_(Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
+      rules_(&gfw::DetectionRules::standard()),
       vps_(china_vantage_points()),
       servers_(make_server_population(scale_.servers, scale_.seed, cal_,
                                       /*inside_china=*/true)),
@@ -257,7 +257,7 @@ ScenarioOptions Table4Inside::options_for(const runner::GridCoord& c,
 }
 
 TrialResult Table4Inside::run_fixed(const runner::GridCoord& c) const {
-  Scenario sc(&rules_, options_for(c, fixed_seed(c), /*tracing=*/false));
+  Scenario sc(rules_, options_for(c, fixed_seed(c), /*tracing=*/false));
   HttpTrialOptions http;
   http.with_keyword = true;
   http.strategy = rows()[c.cell].id;
@@ -266,7 +266,7 @@ TrialResult Table4Inside::run_fixed(const runner::GridCoord& c) const {
 
 TrialResult Table4Inside::run_intang(const runner::GridCoord& c,
                                      intang::StrategySelector& selector) const {
-  Scenario sc(&rules_, options_for(c, intang_seed(c), /*tracing=*/false));
+  Scenario sc(rules_, options_for(c, intang_seed(c), /*tracing=*/false));
   HttpTrialOptions http;
   http.with_keyword = true;
   http.use_intang = true;
@@ -277,7 +277,7 @@ TrialResult Table4Inside::run_intang(const runner::GridCoord& c,
 Replay Table4Inside::replay_fixed(const runner::GridCoord& c,
                                   const std::string& trace_path,
                                   const std::string& pcap_path) const {
-  Scenario sc(&rules_, options_for(c, fixed_seed(c), /*tracing=*/true));
+  Scenario sc(rules_, options_for(c, fixed_seed(c), /*tracing=*/true));
   HttpTrialOptions http;
   http.with_keyword = true;
   http.strategy = rows()[c.cell].id;
@@ -297,7 +297,7 @@ Replay Table4Inside::replay_intang(const runner::GridCoord& c,
     (void)run_intang(prefix, selector);
   }
 
-  Scenario sc(&rules_, options_for(c, intang_seed(c), /*tracing=*/true));
+  Scenario sc(rules_, options_for(c, intang_seed(c), /*tracing=*/true));
   HttpTrialOptions http;
   http.with_keyword = true;
   http.use_intang = true;
@@ -308,7 +308,7 @@ Replay Table4Inside::replay_intang(const runner::GridCoord& c,
 FaultsBench::FaultsBench(BenchScale scale)
     : scale_(scale),
       cal_(Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
+      rules_(&gfw::DetectionRules::standard()),
       vps_(china_vantage_points()),
       servers_(make_server_population(scale_.servers, scale_.seed, cal_,
                                       /*inside_china=*/true)),
@@ -356,7 +356,7 @@ ScenarioOptions FaultsBench::options_for(const runner::GridCoord& c,
 
 TrialResult FaultsBench::run_trial(const runner::GridCoord& c,
                                    intang::StrategySelector& selector) const {
-  Scenario sc(&rules_, options_for(c, /*tracing=*/false));
+  Scenario sc(rules_, options_for(c, /*tracing=*/false));
   HttpTrialOptions http;
   http.with_keyword = true;
   if (intang_cell(c.cell)) {
@@ -378,7 +378,7 @@ Replay FaultsBench::replay(const runner::GridCoord& c,
     (void)run_trial(prefix, selector);
   }
 
-  Scenario sc(&rules_, options_for(c, /*tracing=*/true));
+  Scenario sc(rules_, options_for(c, /*tracing=*/true));
   HttpTrialOptions http;
   http.with_keyword = true;
   if (intang_cell(c.cell)) {
@@ -403,7 +403,7 @@ const std::array<Table6Dns::Resolver, 3>& Table6Dns::resolvers() {
 Table6Dns::Table6Dns(BenchScale scale)
     : scale_(scale),
       cal_(Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
+      rules_(&gfw::DetectionRules::standard()),
       uncensored_(gfw::DetectionRules::standard()),
       vps_(china_vantage_points()),
       servers_([] {
@@ -461,7 +461,7 @@ ScenarioOptions Table6Dns::options_for(const runner::GridCoord& c,
 DnsTrialResult Table6Dns::run_query(const runner::GridCoord& c,
                                     intang::StrategySelector& selector) const {
   const Resolver& resolver = resolvers()[c.cell];
-  Scenario sc(resolver.censored ? &rules_ : &uncensored_,
+  Scenario sc(resolver.censored ? rules_ : &uncensored_,
               options_for(c, /*tracing=*/false));
   DnsTrialOptions dns;
   dns.domain = "www.dropbox.com";
@@ -485,7 +485,7 @@ Replay Table6Dns::replay(const runner::GridCoord& c,
   }
 
   const Resolver& resolver = resolvers()[c.cell];
-  Scenario sc(resolver.censored ? &rules_ : &uncensored_,
+  Scenario sc(resolver.censored ? rules_ : &uncensored_,
               options_for(c, /*tracing=*/true));
   DnsTrialOptions dns;
   dns.domain = "www.dropbox.com";

@@ -79,7 +79,7 @@ class Table1Bench {
 
   BenchScale scale_;
   Calibration cal_;
-  gfw::DetectionRules rules_;
+  const gfw::DetectionRules* rules_;
   std::vector<VantagePoint> vps_;
   std::vector<ServerSpec> servers_;
   faults::FaultPlan plan_;
@@ -105,7 +105,7 @@ class Table4Inside {
   const BenchScale& scale() const { return scale_; }
   const std::vector<VantagePoint>& vantage_points() const { return vps_; }
   const std::vector<ServerSpec>& server_population() const { return servers_; }
-  const gfw::DetectionRules& rules() const { return rules_; }
+  const gfw::DetectionRules& rules() const { return *rules_; }
 
   /// Grid over the fixed-strategy rows (cell = row index).
   runner::TrialGrid fixed_grid() const;
@@ -140,7 +140,7 @@ class Table4Inside {
 
   BenchScale scale_;
   Calibration cal_;
-  gfw::DetectionRules rules_;
+  const gfw::DetectionRules* rules_;
   std::vector<VantagePoint> vps_;
   std::vector<ServerSpec> servers_;
   faults::FaultPlan plan_;  // parsed from scale_.faults; empty when unset
@@ -187,7 +187,7 @@ class Table6Dns {
 
   BenchScale scale_;
   Calibration cal_;
-  gfw::DetectionRules rules_;
+  const gfw::DetectionRules* rules_;
   gfw::DetectionRules uncensored_;
   std::vector<VantagePoint> vps_;
   std::vector<ServerSpec> servers_;
@@ -236,7 +236,7 @@ class FaultsBench {
 
   BenchScale scale_;
   Calibration cal_;
-  gfw::DetectionRules rules_;
+  const gfw::DetectionRules* rules_;
   std::vector<VantagePoint> vps_;
   std::vector<ServerSpec> servers_;
   std::vector<faults::FaultPlan> plans_;

@@ -73,7 +73,7 @@ Fleet::FlowRecord Fleet::FlowRecord::decode(i64 slot) {
 Fleet::Fleet(FleetConfig cfg)
     : cfg_(std::move(cfg)),
       cal_(exp::Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
+      rules_(&gfw::DetectionRules::standard()),
       vps_([&] {
         std::vector<exp::VantagePoint> vps = exp::china_vantage_points();
         if (cfg_.vantages > 0 &&
@@ -190,7 +190,7 @@ Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
   const int writer_before =
       state.writer[static_cast<std::size_t>(flow.server)];
 
-  exp::Scenario sc(&rules_, options_for(c, flow, tracing));
+  exp::Scenario sc(rules_, options_for(c, flow, tracing));
 
   net::PcapWriter writer;
   if (tracing && !pcap_path.empty()) {

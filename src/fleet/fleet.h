@@ -205,7 +205,7 @@ class Fleet {
 
   FleetConfig cfg_;
   exp::Calibration cal_;
-  gfw::DetectionRules rules_;
+  const gfw::DetectionRules* rules_;
   std::vector<exp::VantagePoint> vps_;
   std::vector<exp::ServerSpec> servers_;
   exp::PathProfileCache profiles_;

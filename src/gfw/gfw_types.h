@@ -115,12 +115,17 @@ struct DetectionRules {
   AhoCorasick http_keywords;
   std::unordered_set<std::string> dns_blacklist;
 
-  static DetectionRules standard() {
-    DetectionRules rules;
-    rules.http_keywords = AhoCorasick(
-        {"ultrasurf", "falun", "freenet.github", "wujieliulan"});
-    rules.dns_blacklist = {"www.dropbox.com", "dropbox.com", "facebook.com",
-                           "twitter.com", "www.nytimes.com"};
+  /// The paper's rules, built once per process (the keyword automaton is
+  /// the costly part). Copy them to get a set to modify.
+  static const DetectionRules& standard() {
+    static const DetectionRules rules = [] {
+      DetectionRules r;
+      r.http_keywords = AhoCorasick(
+          {"ultrasurf", "falun", "freenet.github", "wujieliulan"});
+      r.dns_blacklist = {"www.dropbox.com", "dropbox.com", "facebook.com",
+                         "twitter.com", "www.nytimes.com"};
+      return r;
+    }();
     return rules;
   }
 };

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,10 +32,12 @@ struct RunResult {
 /// Receiver of typed packet events: a packet handed back at its scheduled
 /// time with the `tag` and `aux` words the scheduler chose (Path encodes
 /// the next stop and direction in them). Typed events carry no closure, so
-/// moving a packet one hop costs no allocation.
+/// moving a packet one hop costs no allocation. `pkt` lives in the loop's
+/// slot until the call returns: the target may read it, move from it, or
+/// schedule more events while it holds the reference.
 class PacketTarget {
  public:
-  virtual void on_packet_event(Packet pkt, u32 tag, u64 aux) = 0;
+  virtual void on_packet_event(Packet& pkt, u32 tag, u64 aux) = 0;
 
  protected:
   ~PacketTarget() = default;
@@ -48,11 +51,13 @@ class EventLoop {
   using Action = std::function<void()>;
 
   EventLoop() = default;
-  /// Pre-size the queue and the slot pool for `pending_events` events in
-  /// flight, so a loop that lives for one flow never regrows them.
-  explicit EventLoop(std::size_t pending_events) {
+  /// Pre-size the queue and the first slot chunk for `pending_events`
+  /// events in flight, so a loop that lives for one flow never grows them.
+  explicit EventLoop(std::size_t pending_events)
+      : first_chunk_(std::make_unique<Slot[]>(pending_events)),
+        fresh_(first_chunk_.get()),
+        fresh_end_(first_chunk_.get() + pending_events) {
     queue_.reserve(pending_events);
-    slots_.reserve(pending_events);
   }
 
   SimTime now() const { return clock_.now(); }
@@ -67,9 +72,10 @@ class EventLoop {
 
   /// Timer event: run `action` at `when`.
   void schedule_at(SimTime when, Action action) {
-    const u32 slot = acquire_slot();
-    slots_[slot].action = std::move(action);
-    push(when, slot);
+    Slot& s = acquire_slot();
+    s.target = nullptr;
+    s.action = std::move(action);
+    push(when, s);
   }
 
   void schedule_after(SimTime delay, Action action) {
@@ -80,14 +86,13 @@ class EventLoop {
   /// `target->on_packet_event(pkt, tag, aux)`. The packet waits in a pooled
   /// slot; `target` must outlive the event.
   void schedule_packet_at(SimTime when, PacketTarget* target, u32 tag,
-                          Packet pkt, u64 aux = 0) {
-    const u32 slot = acquire_slot();
-    Slot& s = slots_[slot];
+                          Packet&& pkt, u64 aux = 0) {
+    Slot& s = acquire_slot();
     s.target = target;
     s.tag = tag;
     s.aux = aux;
     s.pkt = std::move(pkt);
-    push(when, slot);
+    push(when, s);
   }
 
   /// Run until the queue drains or `max_events` fire (a bound guards
@@ -105,12 +110,13 @@ class EventLoop {
   /// Run events with timestamps <= deadline, then set the clock there.
   RunResult run_until(SimTime deadline, std::size_t max_events = 1'000'000) {
     RunResult result;
-    while (!queue_.empty() && queue_.front().when <= deadline &&
+    const u64 last = biased(deadline);
+    while (!queue_.empty() && queue_.front().when <= last &&
            result.executed < max_events) {
       run_next();
       ++result.executed;
     }
-    finish_run(result, !queue_.empty() && queue_.front().when <= deadline);
+    finish_run(result, !queue_.empty() && queue_.front().when <= last);
     clock_.advance_to(deadline);
     return result;
   }
@@ -146,11 +152,14 @@ class EventLoop {
     });
   }
 
+  /// Publish one run: its counts, and the deepest queue this loop has
+  /// reached (push() only tracks it, so pushes touch no metric).
   void finish_run(RunResult& result, bool more_work_pending) {
     result.hit_max_events = more_work_pending;
     LoopMetrics& m = metrics();
     m.runs.inc();
     m.events_executed.inc(result.executed);
+    m.queue_depth_hwm.max_of(static_cast<double>(depth_hwm_));
     if (result.hit_max_events) {
       m.max_events_hits.inc();
       m.max_events_hit.set(1.0);
@@ -164,74 +173,85 @@ class EventLoop {
       }
     }
   }
+
   /// One pending event's payload: a packet for its target, or a closure
-  /// when `target` is null. Free slots chain through `next_free`.
+  /// when `target` is null. A free slot has no target and links to the
+  /// next free slot in the same word.
   struct Slot {
-    PacketTarget* target = nullptr;
+    union {
+      PacketTarget* target = nullptr;
+      Slot* next_free;
+    };
     u32 tag = 0;
-    u32 next_free = 0;
     u64 aux = 0;
     Packet pkt;
     Action action;
   };
 
-  /// Heap entry: the ordering key and the slot holding the event.
-  struct Key {
-    SimTime when;
-    u64 seq;
-    u32 slot;
+  __extension__ using u128 = unsigned __int128;
 
-    bool operator>(const Key& other) const {
-      if (when != other.when) return other.when < when;
-      return seq > other.seq;
-    }
+  /// Heap entry: the ordering key and the slot holding the event. `when`
+  /// is the time biased to unsigned (sign bit flipped), so the order of
+  /// (when, seq) is the order of one 128-bit unsigned integer.
+  struct Key {
+    u64 seq;
+    u64 when;
+    Slot* slot;
+
+    u128 order() const { return (u128{when} << 64) | seq; }
+    bool operator>(const Key& other) const { return order() > other.order(); }
   };
 
-  static constexpr u32 kNoSlot = ~u32{0};
+  static constexpr u64 kTimeBias = u64{1} << 63;
+  static u64 biased(SimTime t) { return static_cast<u64>(t.us) ^ kTimeBias; }
+  static SimTime unbiased(u64 when) {
+    return SimTime::from_us(static_cast<i64>(when ^ kTimeBias));
+  }
 
-  u32 acquire_slot() {
-    if (free_head_ == kNoSlot) {
-      slots_.emplace_back();
-      return static_cast<u32>(slots_.size() - 1);
+  /// Slots added per chunk once the constructor-sized first chunk is full.
+  static constexpr std::size_t kChunkSlots = 16;
+
+  Slot& acquire_slot() {
+    if (free_head_ != nullptr) {
+      Slot& s = *free_head_;
+      free_head_ = s.next_free;
+      return s;
     }
-    const u32 slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    return slot;
+    if (fresh_ == fresh_end_) {
+      more_chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+      fresh_ = more_chunks_.back().get();
+      fresh_end_ = fresh_ + kChunkSlots;
+    }
+    return *fresh_++;
   }
 
-  void release_slot(u32 slot) {
-    slots_[slot].next_free = free_head_;
-    free_head_ = slot;
+  void release_slot(Slot& s) {
+    s.next_free = free_head_;
+    free_head_ = &s;
   }
 
-  void push(SimTime when, u32 slot) {
-    queue_.push_back(Key{when, next_seq_++, slot});
+  void push(SimTime when, Slot& s) {
+    queue_.push_back(Key{next_seq_++, biased(when), &s});
     std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
-    metrics().queue_depth_hwm.max_of(static_cast<double>(queue_.size()));
+    depth_hwm_ = std::max(depth_hwm_, queue_.size());
   }
 
-  /// Pop the earliest event and run it. Its payload is moved out of the
-  /// slot and the slot freed first, so the event may schedule more events
-  /// (which can regrow the pool) while it runs.
+  /// Pop the earliest event and run it in its slot. Slots live in chunks
+  /// that never move and the slot is freed only after the event returns,
+  /// so the packet (or closure) stays put while the event schedules more.
   void run_next() {
     std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
     const Key key = queue_.back();
     queue_.pop_back();
-    clock_.advance_to(key.when);
-    Slot& s = slots_[key.slot];
-    if (PacketTarget* target = s.target) {
-      s.target = nullptr;
-      const u32 tag = s.tag;
-      const u64 aux = s.aux;
-      Packet pkt = std::move(s.pkt);
-      release_slot(key.slot);
-      target->on_packet_event(std::move(pkt), tag, aux);
+    clock_.advance_to(unbiased(key.when));
+    Slot& s = *key.slot;
+    if (s.target != nullptr) {
+      s.target->on_packet_event(s.pkt, s.tag, s.aux);
     } else {
-      Action action = std::move(s.action);
+      s.action();
       s.action = nullptr;
-      release_slot(key.slot);
-      action();
     }
+    release_slot(s);
   }
 
   VirtualClock clock_;
@@ -240,9 +260,16 @@ class EventLoop {
   // Min-heap on (when, seq) kept with push_heap/pop_heap; (when, seq) is a
   // strict total order, so the pop order does not depend on the heap.
   std::vector<Key> queue_;
-  // Event payloads, reused across events through the free list.
-  std::vector<Slot> slots_;
-  u32 free_head_ = kNoSlot;
+  // Deepest the queue has been; finish_run publishes it.
+  std::size_t depth_hwm_ = 0;
+  // Event payloads in chunks: the first sized by the constructor, more of
+  // kChunkSlots each only if it overflows. Freed slots are reused through
+  // the free list before a never-used slot [fresh_, fresh_end_) is taken.
+  std::unique_ptr<Slot[]> first_chunk_;
+  std::vector<std::unique_ptr<Slot[]>> more_chunks_;
+  Slot* fresh_ = nullptr;
+  Slot* fresh_end_ = nullptr;
+  Slot* free_head_ = nullptr;
 };
 
 }  // namespace ys::net

@@ -61,7 +61,7 @@ class Path::ForwarderImpl final : public Forwarder {
 
   void forward(Packet pkt) override {
     pkt.trace_id = trace_id_;
-    path_.transit(std::move(pkt), dir_, position_, index_);
+    path_.transit(pkt, dir_, position_, index_);
   }
 
   void inject(Packet pkt, Dir dir, SimTime delay) override {
@@ -122,7 +122,11 @@ class Path::ForwarderImpl final : public Forwarder {
 };
 
 Path::Path(EventLoop& loop, Rng rng, PathConfig cfg, obs::TraceRecorder* trace)
-    : loop_(loop), rng_(rng), cfg_(cfg), trace_(trace) {
+    : loop_(loop), rng_(rng), cfg_(cfg),
+      loss_threshold_(cfg.per_link_loss > 0.0
+                          ? Rng::chance_threshold(cfg.per_link_loss)
+                          : 0),
+      trace_(trace) {
   elements_.reserve(kTypicalElements);
   fifo_floor_.reserve((kTypicalElements + 1) * 2);
   fifo_floor_.resize(2);  // the two endpoints
@@ -163,22 +167,26 @@ void Path::send_from_client(Packet pkt) {
   pkt.trace_id = next_trace_id_++;
   // Insertion packets carry the trace-event id of the strategy decision
   // that crafted them; the send event chains to it.
-  trace_packet(obs::TraceKind::kSend, "client", pkt, Dir::kC2S,
-               pkt.cause_hint);
+  if (trace_ != nullptr) {
+    trace_packet(obs::TraceKind::kSend, "client", pkt, Dir::kC2S,
+                 pkt.cause_hint);
+  }
   if (client_capture_) client_capture_(pkt, loop_.now());
-  transit(std::move(pkt), Dir::kC2S, 0, -1);
+  transit(pkt, Dir::kC2S, 0, -1);
 }
 
 void Path::send_from_server(Packet pkt) {
   finalize(pkt);
   pkt.trace_id = next_trace_id_++;
-  trace_packet(obs::TraceKind::kSend, "server", pkt, Dir::kS2C,
-               pkt.cause_hint);
-  transit(std::move(pkt), Dir::kS2C, endpoint_position(Dir::kC2S),
+  if (trace_ != nullptr) {
+    trace_packet(obs::TraceKind::kSend, "server", pkt, Dir::kS2C,
+                 pkt.cause_hint);
+  }
+  transit(pkt, Dir::kS2C, endpoint_position(Dir::kC2S),
           static_cast<int>(elements_.size()));
 }
 
-void Path::transit(Packet pkt, Dir dir, int from_pos, int after_index) {
+void Path::transit(Packet& pkt, Dir dir, int from_pos, int after_index) {
   // Find the next stop in the travel direction.
   int next_index = -1;
   int next_pos = endpoint_position(dir);
@@ -218,7 +226,8 @@ void Path::transit(Packet pkt, Dir dir, int from_pos, int after_index) {
       }
       pkt.ip.ttl = static_cast<u8>(pkt.ip.ttl - 1);
       pos += step;
-      if (cfg_.per_link_loss > 0.0 && rng_.chance(cfg_.per_link_loss)) {
+      // rng_.chance(cfg_.per_link_loss), compared as an integer.
+      if (loss_threshold_ != 0 && rng_.draw_below(loss_threshold_)) {
         metrics().dropped_loss.inc();
         if (trace_ != nullptr) {
           trace_packet(obs::TraceKind::kLoss, "path", pkt, dir,
@@ -279,14 +288,16 @@ void Path::transit(Packet pkt, Dir dir, int from_pos, int after_index) {
     floor = deliver_at;
   }
 
-  Packet dup;
-  if (fault.duplicate) dup = pkt;  // copy before the schedule moves it
   const u32 tag = event_tag(next_index, dir, false);
-  loop_.schedule_packet_at(deliver_at, this, tag, std::move(pkt));
-  if (!fault.duplicate) return;
+  if (!fault.duplicate) {
+    loop_.schedule_packet_at(deliver_at, this, tag, std::move(pkt));
+    return;
+  }
 
   // The copy trails the original by one hop latency and respects the
-  // same FIFO floor, like a retransmitting link layer.
+  // same FIFO floor, like a retransmitting link layer. The original's
+  // event is scheduled first and gets the copy; the duplicate takes `pkt`.
+  loop_.schedule_packet_at(deliver_at, this, tag, Packet(pkt));
   metrics().fault_duplicates.inc();
   SimTime dup_at = deliver_at + SimTime::from_us(cfg_.per_hop_latency_us);
   if (!fault.bypass_fifo) {
@@ -294,10 +305,10 @@ void Path::transit(Packet pkt, Dir dir, int from_pos, int after_index) {
     if (dup_at < floor) dup_at = floor;
     floor = dup_at;
   }
-  loop_.schedule_packet_at(dup_at, this, tag, std::move(dup));
+  loop_.schedule_packet_at(dup_at, this, tag, std::move(pkt));
 }
 
-void Path::on_packet_event(Packet pkt, u32 tag, u64 aux) {
+void Path::on_packet_event(Packet& pkt, u32 tag, u64 aux) {
   const int index = static_cast<int>(tag >> 2) - 1;
   const Dir dir = (tag & 2u) != 0 ? Dir::kS2C : Dir::kC2S;
   if ((tag & 1u) != 0) {
@@ -305,23 +316,23 @@ void Path::on_packet_event(Packet pkt, u32 tag, u64 aux) {
     if (trace_ != nullptr) {
       trace_packet(obs::TraceKind::kInject, actor_name(index), pkt, dir, aux);
     }
-    transit(std::move(pkt), dir,
-            elements_[static_cast<std::size_t>(index)].position, index);
+    transit(pkt, dir, elements_[static_cast<std::size_t>(index)].position,
+            index);
   } else if (index >= 0) {
-    deliver_to_element(std::move(pkt), dir, index);
+    deliver_to_element(pkt, dir, index);
   } else {
-    deliver_to_endpoint(std::move(pkt), dir);
+    deliver_to_endpoint(pkt, dir);
   }
 }
 
-void Path::deliver_to_element(Packet pkt, Dir dir, int index) {
+void Path::deliver_to_element(Packet& pkt, Dir dir, int index) {
   const Attachment& at = elements_[static_cast<std::size_t>(index)];
   at.events->inc();
   ForwarderImpl fwd(*this, dir, index, at.position, pkt.trace_id);
   at.element->process(std::move(pkt), dir, fwd);
 }
 
-void Path::deliver_to_endpoint(Packet pkt, Dir dir) {
+void Path::deliver_to_endpoint(Packet& pkt, Dir dir) {
   if (dir == Dir::kC2S) {
     ++to_server_count_;
     metrics().delivered_server.inc();
@@ -329,7 +340,7 @@ void Path::deliver_to_endpoint(Packet pkt, Dir dir) {
       trace_packet(obs::TraceKind::kRecv, "server", pkt, dir,
                    trace_->event_for_packet(pkt.trace_id));
     }
-    if (server_sink_) server_sink_(std::move(pkt));
+    if (server_sink_) server_sink_(pkt);
   } else {
     ++to_client_count_;
     metrics().delivered_client.inc();
@@ -338,7 +349,7 @@ void Path::deliver_to_endpoint(Packet pkt, Dir dir) {
                    trace_->event_for_packet(pkt.trace_id));
     }
     if (client_capture_) client_capture_(pkt, loop_.now());
-    if (client_sink_) client_sink_(std::move(pkt));
+    if (client_sink_) client_sink_(pkt);
   }
 }
 

@@ -129,7 +129,7 @@ struct PathConfig {
   int server_hops = 14;
   i64 per_hop_latency_us = 800;
   i64 jitter_us = 300;
-  /// Loss probability per link crossing.
+  /// Loss probability per link crossing, in [0, 1).
   double per_link_loss = 0.0;
 };
 
@@ -137,7 +137,9 @@ struct PathConfig {
 /// Packets in flight are typed loop events addressed to the path itself.
 class Path : private PacketTarget {
  public:
-  using PacketSink = std::function<void(Packet)>;
+  /// Endpoint delivery: the packet, still in its loop event's slot. The
+  /// sink may read it or move from it.
+  using PacketSink = std::function<void(Packet&)>;
   /// Client-side capture tap: sees every packet the client sends or
   /// receives, with the virtual timestamp (pcap-style observation point).
   using CaptureFn = std::function<void(const Packet&, SimTime)>;
@@ -219,7 +221,8 @@ class Path : private PacketTarget {
   /// Move `pkt` from `from_pos` (exclusive) to the next element or endpoint
   /// in `dir`, applying TTL, loss, and latency. `after_index` is the index
   /// in elements_ the packet last visited (-1 when leaving an endpoint).
-  void transit(Packet pkt, Dir dir, int from_pos, int after_index);
+  /// A packet that survives is moved into its next loop event.
+  void transit(Packet& pkt, Dir dir, int from_pos, int after_index);
 
   /// Packet-event tags: the next stop (element index, or -1 for the
   /// endpoint), the direction, and whether the event is a delayed
@@ -228,7 +231,7 @@ class Path : private PacketTarget {
     return (static_cast<u32>(index + 1) << 2) |
            (dir == Dir::kS2C ? 2u : 0u) | (inject ? 1u : 0u);
   }
-  void on_packet_event(Packet pkt, u32 tag, u64 aux) override;
+  void on_packet_event(Packet& pkt, u32 tag, u64 aux) override;
 
   /// FIFO floor slot of a next stop (element index, -1 = endpoint).
   SimTime& fifo_floor(int stop, Dir dir) {
@@ -236,8 +239,8 @@ class Path : private PacketTarget {
                        (dir == Dir::kC2S ? 0u : 1u)];
   }
 
-  void deliver_to_element(Packet pkt, Dir dir, int index);
-  void deliver_to_endpoint(Packet pkt, Dir dir);
+  void deliver_to_element(Packet& pkt, Dir dir, int index);
+  void deliver_to_endpoint(Packet& pkt, Dir dir);
 
   /// Trace/fault actor name of the element at `index` (built on demand:
   /// only tracing and the fault hook read it).
@@ -254,6 +257,8 @@ class Path : private PacketTarget {
   EventLoop& loop_;
   Rng rng_;
   PathConfig cfg_;
+  /// Rng::chance_threshold(cfg_.per_link_loss), 0 when there is no loss.
+  u64 loss_threshold_;
   obs::TraceRecorder* trace_;
   FaultHook* fault_hook_ = nullptr;
   std::vector<Attachment> elements_;  // sorted by position (stable)

@@ -6,17 +6,6 @@
 namespace ys::obs {
 
 namespace {
-// Each simulation is single-threaded (one event loop drives everything),
-// but the runner executes many simulations on concurrent workers, all of
-// which read this flag — a relaxed atomic keeps the hot-path check
-// branch-predictable and race-clean. Only the orchestrating thread writes
-// it, and never while workers run.
-std::atomic<bool> g_enabled{true};
-
-// Per-thread registry override installed by ScopedMetricsRegistry; null
-// means "publish into the process registry".
-thread_local MetricsRegistry* t_current = nullptr;
-
 // Registry identities for bind_per_thread's cache key. Starts at 1 so the
 // sentinel 0 never matches a live registry.
 std::atomic<u64> g_next_registry_uid{1};
@@ -31,9 +20,8 @@ const char* kind_name(int k) {
 }
 }  // namespace
 
-bool metrics_enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_metrics_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
+  detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
 }
 
 std::vector<double> exponential_buckets(double start, double factor,
@@ -58,16 +46,14 @@ MetricsRegistry& MetricsRegistry::global() {
   return *registry;
 }
 
-MetricsRegistry& MetricsRegistry::current() {
-  return t_current != nullptr ? *t_current : global();
-}
-
 ScopedMetricsRegistry::ScopedMetricsRegistry(MetricsRegistry* registry)
-    : previous_(t_current) {
-  t_current = registry;
+    : previous_(detail::t_current_registry) {
+  detail::t_current_registry = registry;
 }
 
-ScopedMetricsRegistry::~ScopedMetricsRegistry() { t_current = previous_; }
+ScopedMetricsRegistry::~ScopedMetricsRegistry() {
+  detail::t_current_registry = previous_;
+}
 
 MetricsRegistry::Slot& MetricsRegistry::find_or_create(const std::string& name,
                                                        Kind kind) {

@@ -28,6 +28,7 @@
 // current() registry changes.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -39,9 +40,27 @@
 
 namespace ys::obs {
 
+class MetricsRegistry;
+
+namespace detail {
+// Each simulation is single-threaded (one event loop drives everything),
+// but the runner executes many simulations on concurrent workers, all of
+// which read this flag — a relaxed atomic keeps the hot-path check
+// branch-predictable and race-clean. Only the orchestrating thread writes
+// it, and never while workers run.
+inline std::atomic<bool> g_metrics_enabled{true};
+
+// Per-thread registry override installed by ScopedMetricsRegistry; null
+// means "publish into the process registry".
+inline thread_local MetricsRegistry* t_current_registry = nullptr;
+}  // namespace detail
+
 /// Runtime kill switch. Metric *updates* become no-ops when disabled;
-/// registration, snapshotting and resets still work.
-bool metrics_enabled();
+/// registration, snapshotting and resets still work. Inline, so a metric
+/// update on the hot path is a load, a test and an add.
+inline bool metrics_enabled() {
+  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
+}
 void set_metrics_enabled(bool on);
 
 #if defined(YS_OBS_DISABLE)
@@ -235,6 +254,11 @@ class MetricsRegistry {
   // deterministic; pointers to mapped values are stable across inserts.
   std::map<std::string, Slot> slots_;
 };
+
+inline MetricsRegistry& MetricsRegistry::current() {
+  MetricsRegistry* override_registry = detail::t_current_registry;
+  return override_registry != nullptr ? *override_registry : global();
+}
 
 /// RAII thread-local registry override: while alive, every
 /// MetricsRegistry::current() resolution on this thread lands in

@@ -77,7 +77,7 @@ void VariantArchive::insert(ArchiveEntry e) {
 SearchEngine::SearchEngine(SearchConfig cfg)
     : cfg_(std::move(cfg)),
       cal_(exp::Calibration::standard()),
-      rules_(gfw::DetectionRules::standard()),
+      rules_(&gfw::DetectionRules::standard()),
       vp_(exp::china_vantage_points().front()),
       servers_(exp::make_server_population(cfg_.servers, cfg_.seed, cal_,
                                            /*inside_china=*/true)),
@@ -129,7 +129,7 @@ exp::ScenarioOptions SearchEngine::options_for(const CandidateProgram& prog,
 exp::Outcome SearchEngine::run_one(const CandidateProgram& prog,
                                    std::size_t variant, std::size_t server,
                                    std::size_t trial) const {
-  exp::Scenario sc(&rules_, options_for(prog, variant, server, trial,
+  exp::Scenario sc(rules_, options_for(prog, variant, server, trial,
                                         /*tracing=*/false));
   exp::HttpTrialOptions http;
   http.with_keyword = true;
@@ -142,7 +142,7 @@ exp::Replay SearchEngine::replay(const CandidateProgram& prog,
                                  std::size_t trial,
                                  const std::string& trace_path,
                                  const std::string& pcap_path) const {
-  exp::Scenario sc(&rules_, options_for(prog, variant, server, trial,
+  exp::Scenario sc(rules_, options_for(prog, variant, server, trial,
                                         /*tracing=*/true));
 
   net::PcapWriter writer;
@@ -617,7 +617,7 @@ std::vector<CoevoRound> SearchEngine::coevolve(
              static_cast<u64>(c.trial)});
         opt.profile = &profiles[c.vantage * servers_.size() + c.server];
         opt.harden = r.harden;
-        exp::Scenario sc(&rules_, opt);
+        exp::Scenario sc(rules_, opt);
         exp::HttpTrialOptions http;
         http.with_keyword = true;
         http.strategy_factory = [&prog] { return prog.make_strategy(); };

@@ -191,7 +191,7 @@ class SearchEngine {
 
   SearchConfig cfg_;
   exp::Calibration cal_;
-  gfw::DetectionRules rules_;
+  const gfw::DetectionRules* rules_;
   exp::VantagePoint vp_;
   std::vector<exp::ServerSpec> servers_;
   faults::FaultPlan plan_;

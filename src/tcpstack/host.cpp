@@ -4,10 +4,12 @@ namespace ys::tcp {
 
 Host::Host(Config cfg, net::Path& path, net::EventLoop& loop, Rng rng)
     : cfg_(std::move(cfg)), path_(path), loop_(loop), rng_(std::move(rng)),
-      reassembler_(cfg_.profile.ip_fragment_overlap) {}
+      reassembler_(cfg_.profile.ip_fragment_overlap) {
+  received_.reserve(kReceivedReserve);
+}
 
 void Host::attach() {
-  auto sink = [this](net::Packet pkt) { handle_wire(std::move(pkt)); };
+  auto sink = [this](net::Packet& pkt) { handle_wire(pkt); };
   if (cfg_.side == HostSide::kClient) {
     path_.set_client_sink(sink);
   } else {
@@ -66,7 +68,7 @@ void Host::transmit(net::Packet pkt) {
   send_raw_unhooked(std::move(pkt));
 }
 
-void Host::handle_wire(net::Packet pkt) {
+void Host::handle_wire(net::Packet& pkt) {
   // IP-layer reassembly first: hosts always reassemble before the
   // transport layer sees anything. Whole packets need none.
   if (pkt.ip.is_fragmented()) {

@@ -87,7 +87,7 @@ class Host : private net::PacketTarget {
   /// reconstructed UDP response back to the querying application.
   void inject_local(net::Packet pkt) {
     finalize(pkt);
-    handle_wire(std::move(pkt));
+    handle_wire(pkt);
   }
 
   void set_egress_hook(PacketHook hook) { egress_hook_ = std::move(hook); }
@@ -115,10 +115,10 @@ class Host : private net::PacketTarget {
   }
 
  private:
-  void on_packet_event(net::Packet pkt, u32, u64) override {
+  void on_packet_event(net::Packet& pkt, u32, u64) override {
     send_raw_unhooked(std::move(pkt));
   }
-  void handle_wire(net::Packet pkt);
+  void handle_wire(net::Packet& pkt);
   void handle_tcp(const net::Packet& pkt);
   void handle_udp(const net::Packet& pkt);
   void transmit(net::Packet pkt);
@@ -142,6 +142,9 @@ class Host : private net::PacketTarget {
   PacketHook egress_hook_;
   PacketHook ingress_hook_;
 
+  /// Reserved for kReceivedReserve packets up front; a trial's host sees
+  /// a handful, and growing 1 -> 2 -> 4 -> 8 would reallocate three times.
+  static constexpr std::size_t kReceivedReserve = 8;
   std::vector<net::Packet> received_;
   std::vector<IgnoreEvent> demux_ignores_;
   u16 next_ephemeral_port_ = 40000;

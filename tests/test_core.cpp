@@ -2,6 +2,9 @@
 // time, results, hexdump, and the trace recorder.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/byte_io.h"
 #include "core/checksum.h"
 #include "core/clock.h"
@@ -163,6 +166,34 @@ TEST(Rng, ChanceApproximatesProbability) {
   }
   const double rate = static_cast<double>(hits) / n;
   EXPECT_NEAR(rate, 0.25, 0.01);
+}
+
+TEST(Rng, ThresholdDrawMatchesTheUniform01Compare) {
+  Rng seeded_ps(29);
+  std::vector<double> ps = {0x1p-53, 0.0004, 0.5, std::nextafter(1.0, 0.0)};
+  for (int i = 0; i < 64; ++i) ps.push_back(seeded_ps.uniform01());
+  for (const double p : ps) {
+    if (p <= 0.0) continue;
+    SCOPED_TRACE(p);
+    const u64 t = Rng::chance_threshold(p);
+    // The threshold is the first 53-bit draw whose uniform01() value is
+    // not below p, so the integer and double compares split at one place.
+    ASSERT_GE(t, 1u);
+    ASSERT_LE(t, u64{1} << 53);
+    EXPECT_LT(static_cast<double>(t - 1) * 0x1p-53, p);
+    if (t < (u64{1} << 53)) {
+      EXPECT_GE(static_cast<double>(t) * 0x1p-53, p);
+    }
+    // Same stream, same decisions, and chance(p) is that draw.
+    Rng a(31);
+    Rng b(31);
+    Rng c(31);
+    for (int i = 0; i < 2000; ++i) {
+      const bool by_double = a.uniform01() < p;
+      ASSERT_EQ(b.draw_below(t), by_double);
+      ASSERT_EQ(c.chance(p), by_double);
+    }
+  }
 }
 
 TEST(Rng, Uniform01InHalfOpenInterval) {

@@ -487,8 +487,10 @@ TEST(Faults, TorDegradesGracefullyUnderPlan) {
       faults::parse_fault_plan("dup-corrupt", error);
   ASSERT_TRUE(error.empty()) << error;
 
+  // The vantage list must outlive `unfiltered`, which points into it.
+  const std::vector<VantagePoint> vps = china_vantage_points();
   const VantagePoint* unfiltered = nullptr;
-  for (const auto& vp : china_vantage_points()) {
+  for (const auto& vp : vps) {
     if (vp.tor_unfiltered_path) unfiltered = &vp;
   }
   ASSERT_NE(unfiltered, nullptr);

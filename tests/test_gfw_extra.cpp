@@ -208,7 +208,7 @@ TEST(AdaptiveRedundancy, StrategiesHonorTheKnob) {
   tcp::Host client(hcfg, path, loop, Rng(5));
   client.attach();
   std::vector<net::Packet> wire;
-  path.set_server_sink([&wire](net::Packet p) { wire.push_back(std::move(p)); });
+  path.set_server_sink([&wire](net::Packet& p) { wire.push_back(std::move(p)); });
 
   strategy::PathKnowledge pk;
   pk.hop_estimate = 12;

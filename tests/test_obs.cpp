@@ -3,6 +3,7 @@
 // golden JSON shape of a quickstart-style run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "exp/scenario.h"
@@ -185,6 +186,8 @@ TEST(EventLoop, RunReportsMaxEventsBound) {
   EXPECT_TRUE(partial.hit_max_events);
   EXPECT_EQ(reg.counter("loop.max_events_hits").value(), 1u);
   EXPECT_DOUBLE_EQ(reg.gauge("loop.max_events_hit").value(), 1.0);
+  // The high-water mark is the deepest the queue got: all five pending.
+  EXPECT_DOUBLE_EQ(reg.gauge("loop.queue_depth_hwm").value(), 5.0);
 
   const net::RunResult drained = loop.run(/*max_events=*/2);
   EXPECT_EQ(drained.executed, 2u);
@@ -196,6 +199,26 @@ TEST(EventLoop, RunReportsMaxEventsBound) {
   loop.schedule_after(SimTime::zero(), [] {});
   const std::size_t n = loop.run();
   EXPECT_EQ(n, 1u);
+  EXPECT_DOUBLE_EQ(reg.gauge("loop.queue_depth_hwm").value(), 5.0);
+
+  // A queue that peaks inside an event: three pending, the first event
+  // adds six while two wait, so the deepest point is 8.
+  reg.reset_all();
+  net::EventLoop nested;
+  std::size_t deepest = 0;
+  for (int i = 0; i < 3; ++i) {
+    nested.schedule_after(SimTime::from_us(i), [&, i] {
+      if (i == 0) {
+        for (int j = 0; j < 6; ++j) {
+          nested.schedule_after(SimTime::from_us(10 + j), [] {});
+        }
+      }
+      deepest = std::max(deepest, nested.pending());
+    });
+  }
+  nested.run();
+  EXPECT_EQ(deepest, 8u);
+  EXPECT_DOUBLE_EQ(reg.gauge("loop.queue_depth_hwm").value(), 8.0);
 }
 
 TEST(EventLoop, RunUntilReportsBoundOnlyWithinDeadline) {

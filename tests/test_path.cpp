@@ -2,6 +2,9 @@
 // accounting, loss, FIFO non-reordering, injection, and route shifts.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+
 #include "netsim/event_loop.h"
 #include "netsim/path.h"
 #include "obs/alloc_hook.h"
@@ -20,6 +23,15 @@ Packet probe(u8 ttl, u32 seq = 1) {
 
 // -------------------------------------------------------------- EventLoop
 
+constexpr i64 kMinUs = std::numeric_limits<i64>::min();
+constexpr i64 kMaxUs = std::numeric_limits<i64>::max();
+
+/// Time origins for the ordering tests: the queue key packs the time into
+/// an unsigned word, so order must hold at both ends of the range too.
+const std::array<SimTime, 3> kOrigins = {SimTime::from_us(kMinUs),
+                                         SimTime::zero(),
+                                         SimTime::from_us(kMaxUs - 10'000)};
+
 TEST(EventLoop, RunsInTimeOrder) {
   EventLoop loop;
   std::vector<int> order;
@@ -29,6 +41,18 @@ TEST(EventLoop, RunsInTimeOrder) {
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(loop.now().millis(), 30);
+
+  // Across the sign boundary and at both extremes of SimTime.
+  EventLoop wide;
+  std::vector<i64> seen;
+  for (const i64 us : {i64{1}, kMaxUs, i64{-1}, kMinUs, i64{0},
+                       kMaxUs - 1, kMinUs + 1}) {
+    wide.schedule_at(SimTime::from_us(us), [&seen, us] { seen.push_back(us); });
+  }
+  wide.run();
+  EXPECT_EQ(seen, (std::vector<i64>{kMinUs, kMinUs + 1, -1, 0, 1, kMaxUs - 1,
+                                    kMaxUs}));
+  EXPECT_EQ(wide.now().us, kMaxUs);
 }
 
 TEST(EventLoop, TiesRunInSchedulingOrder) {
@@ -77,25 +101,28 @@ TEST(EventLoop, MaxEventsBoundsRunawayLoops) {
 }
 
 TEST(EventLoop, SameInstantEventsScheduledFromEventsKeepSchedulingOrder) {
-  EventLoop loop;
-  std::vector<std::string> order;
-  const SimTime t = SimTime::from_ms(5);
-  loop.schedule_at(t, [&] {
-    order.push_back("a");
+  for (const SimTime origin : kOrigins) {
+    SCOPED_TRACE(origin.us);
+    EventLoop loop;
+    std::vector<std::string> order;
+    const SimTime t = origin + SimTime::from_ms(5);
     loop.schedule_at(t, [&] {
-      order.push_back("c");
-      loop.schedule_at(t, [&] { order.push_back("e"); });
+      order.push_back("a");
+      loop.schedule_at(t, [&] {
+        order.push_back("c");
+        loop.schedule_at(t, [&] { order.push_back("e"); });
+      });
+      loop.schedule_at(t, [&] { order.push_back("d"); });
     });
-    loop.schedule_at(t, [&] { order.push_back("d"); });
-  });
-  loop.schedule_at(t, [&] { order.push_back("b"); });
-  loop.schedule_at(SimTime::from_ms(4), [&] {
-    order.push_back("early");
-    loop.schedule_at(t, [&] { order.push_back("f"); });
-  });
-  loop.run();
-  EXPECT_EQ(order, (std::vector<std::string>{"early", "a", "b", "f", "c",
-                                             "d", "e"}));
+    loop.schedule_at(t, [&] { order.push_back("b"); });
+    loop.schedule_at(origin + SimTime::from_ms(4), [&] {
+      order.push_back("early");
+      loop.schedule_at(t, [&] { order.push_back("f"); });
+    });
+    loop.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"early", "a", "b", "f", "c",
+                                               "d", "e"}));
+  }
 }
 
 /// One hop of a packet-carrying event chain: runs, then hands its packet
@@ -145,7 +172,7 @@ struct RecordingTarget final : PacketTarget {
   std::vector<std::string>* order = nullptr;
   std::function<void(const Packet&)> react;
 
-  void on_packet_event(Packet pkt, u32 tag, u64 aux) override {
+  void on_packet_event(Packet& pkt, u32 tag, u64 aux) override {
     EXPECT_EQ(tag, 7u);
     EXPECT_EQ(aux, 42u);
     order->push_back("p" + std::to_string(pkt.tcp->seq));
@@ -154,38 +181,82 @@ struct RecordingTarget final : PacketTarget {
 };
 
 TEST(EventLoop, TypedPacketEventsAndClosuresShareSchedulingOrder) {
-  EventLoop loop;
-  std::vector<std::string> order;
-  RecordingTarget target;
-  target.order = &order;
-  const SimTime t = SimTime::from_ms(5);
-  auto packet_at = [&](SimTime when, u32 seq) {
-    loop.schedule_packet_at(when, &target, 7, probe(64, seq), 42);
-  };
-  target.react = [&](const Packet& pkt) {
-    // Packet events schedule more same-instant work, like a hop that
-    // delivers at once.
-    if (pkt.tcp->seq == 1) {
-      loop.schedule_at(t, [&] { order.push_back("c"); });
-      packet_at(t, 3);
+  for (const SimTime origin : kOrigins) {
+    SCOPED_TRACE(origin.us);
+    EventLoop loop;
+    std::vector<std::string> order;
+    RecordingTarget target;
+    target.order = &order;
+    const SimTime t = origin + SimTime::from_ms(5);
+    auto packet_at = [&](SimTime when, u32 seq) {
+      loop.schedule_packet_at(when, &target, 7, probe(64, seq), 42);
+    };
+    target.react = [&](const Packet& pkt) {
+      // Packet events schedule more same-instant work, like a hop that
+      // delivers at once.
+      if (pkt.tcp->seq == 1) {
+        loop.schedule_at(t, [&] { order.push_back("c"); });
+        packet_at(t, 3);
+      }
+    };
+    loop.schedule_at(t, [&] {
+      order.push_back("a");
+      packet_at(t, 2);
+      loop.schedule_at(t, [&] { order.push_back("b"); });
+    });
+    packet_at(t, 1);
+    loop.schedule_at(t, [&] { order.push_back("z"); });
+    loop.schedule_at(origin + SimTime::from_ms(4), [&] {
+      order.push_back("early");
+      packet_at(t, 4);
+    });
+    loop.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"early", "a", "p1", "z", "p4",
+                                               "p2", "b", "c", "p3"}));
+    EXPECT_TRUE(loop.idle());
+  }
+}
+
+/// Packet-event target that, on its first packet, schedules `fan_out`
+/// more packet events (enough to need new slot chunks) and then reads the
+/// packet it was handed, which must not have moved.
+struct FanOutTarget final : PacketTarget {
+  EventLoop* loop = nullptr;
+  int fan_out = 0;
+  std::vector<u32> seen;
+
+  void on_packet_event(Packet& pkt, u32 tag, u64) override {
+    if (tag == 0) {
+      for (int i = 1; i <= fan_out; ++i) {
+        Packet child = probe(64, static_cast<u32>(1000 + i));
+        child.payload = Bytes(64, static_cast<u8>(i));
+        loop->schedule_packet_at(loop->now(), this, static_cast<u32>(i),
+                                 std::move(child));
+      }
     }
-  };
-  loop.schedule_at(t, [&] {
-    order.push_back("a");
-    packet_at(t, 2);
-    loop.schedule_at(t, [&] { order.push_back("b"); });
-  });
-  packet_at(t, 1);
-  loop.schedule_at(t, [&] { order.push_back("z"); });
-  loop.schedule_at(SimTime::from_ms(4), [&] {
-    order.push_back("early");
-    packet_at(t, 4);
-  });
-  loop.run();
-  EXPECT_EQ(order,
-            (std::vector<std::string>{"early", "a", "p1", "z", "p4", "p2", "b",
-                                      "c", "p3"}));
-  EXPECT_TRUE(loop.idle());
+    seen.push_back(pkt.tcp->seq);
+    EXPECT_EQ(pkt.payload.size(), tag == 0 ? 300u : 64u);
+    for (const u8 b : pkt.payload) {
+      ASSERT_EQ(b, tag == 0 ? 0x5A : static_cast<u8>(tag));
+    }
+  }
+};
+
+TEST(EventLoop, APacketStaysInItsSlotWhileItsEventSchedulesMore) {
+  for (const std::size_t pending : {std::size_t{0}, std::size_t{4}}) {
+    SCOPED_TRACE(pending);
+    EventLoop loop = pending == 0 ? EventLoop() : EventLoop(pending);
+    FanOutTarget target;
+    target.loop = &loop;
+    target.fan_out = 48;
+    Packet first = probe(64, 7);
+    first.payload = Bytes(300, 0x5A);
+    loop.schedule_packet_at(SimTime::from_ms(1), &target, 0, std::move(first));
+    EXPECT_EQ(loop.run().executed, 49u);
+    ASSERT_EQ(target.seen.size(), 49u);
+    EXPECT_EQ(target.seen.front(), 7u);
+    for (u32 i = 1; i <= 48; ++i) EXPECT_EQ(target.seen[i], 1000 + i);
+  }
 }
 
 /// Packet-event target that sends each packet on to the next hop until
@@ -193,7 +264,7 @@ TEST(EventLoop, TypedPacketEventsAndClosuresShareSchedulingOrder) {
 struct RelayTarget final : PacketTarget {
   EventLoop* loop = nullptr;
   std::vector<int>* left = nullptr;
-  void on_packet_event(Packet pkt, u32 tag, u64) override {
+  void on_packet_event(Packet& pkt, u32 tag, u64) override {
     int& l = (*left)[tag];
     if (--l <= 0) return;
     loop->schedule_packet_at(loop->now() + SimTime::from_us(1), this, tag,
@@ -249,8 +320,8 @@ struct PathFixture {
 
   explicit PathFixture(PathConfig cfg = make_config())
       : path(loop, Rng(5), cfg, &trace) {
-    path.set_server_sink([this](Packet p) { at_server.push_back(std::move(p)); });
-    path.set_client_sink([this](Packet p) { at_client.push_back(std::move(p)); });
+    path.set_server_sink([this](Packet& p) { at_server.push_back(std::move(p)); });
+    path.set_client_sink([this](Packet& p) { at_client.push_back(std::move(p)); });
   }
 
   static PathConfig make_config() {
@@ -544,7 +615,7 @@ TEST(Path, BypassingTheFifoLeavesTheFloorForOthers) {
   };
   fx.path.set_fault_hook(&hook);
   std::vector<SimTime> arrival(30);
-  fx.path.set_server_sink([&](Packet p) {
+  fx.path.set_server_sink([&](Packet& p) {
     arrival[p.tcp->seq] = fx.loop.now();
     fx.at_server.push_back(std::move(p));
   });

@@ -139,7 +139,7 @@ struct EngineRig {
         client(host_cfg(), path, loop, Rng(5)) {
     client.attach();
     // Capture everything that reaches hop 1 by replacing the server sink.
-    path.set_server_sink([this](net::Packet p) { wire.push_back(std::move(p)); });
+    path.set_server_sink([this](net::Packet& p) { wire.push_back(std::move(p)); });
   }
 
   static net::PathConfig path_cfg() {

@@ -52,8 +52,8 @@ struct TraceRig {
     path = std::make_unique<net::Path>(loop, Rng(7), pcfg, &trace);
     dev = std::make_unique<gfw::GfwDevice>("gfw-2", cfg, &rules, Rng(9));
     path->attach(5, dev.get());
-    path->set_server_sink([](net::Packet) {});
-    path->set_client_sink([](net::Packet) {});
+    path->set_server_sink([](net::Packet&) {});
+    path->set_client_sink([](net::Packet&) {});
   }
 
   void c2s(net::Packet pkt) {
