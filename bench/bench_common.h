@@ -74,15 +74,13 @@ struct RunConfig {
   int servers = 0;      // 0 = use the binary's default
   u64 seed = 2017;
   int jobs = 1;         // 1 = serial reference; 0 = hardware concurrency
-  std::string metrics_out;
+  obs::OutputFlags outputs;  // --metrics-out, --timeline-out, --timeline-csv
   std::string flight_dir;  // empty = flight recorder off
   std::string faults;      // fault plan spec; empty = fault-free
   std::string resume_dir;  // empty = no persistent results store
   std::string report;      // BenchReport JSON path; empty = no report
   double heartbeat = 0.0;  // stderr heartbeat interval; 0 = off
   std::string phase_trace;  // Chrome trace JSON path; empty = off
-  std::string timeline_out;  // "ys.timeline.v1" JSON path; empty = off
-  std::string timeline_csv;  // CSV flattening of the same; empty = off
   int timeline_bucket_ms = 1000;
 };
 
@@ -188,25 +186,22 @@ inline obs::Timeline*& bench_timeline() {
   return tl;
 }
 
-inline std::string& timeline_out_path() {
-  static std::string path;
-  return path;
-}
-
-inline std::string& timeline_csv_path() {
-  static std::string path;
-  return path;
+/// The parsed export flags, kept for the atexit writers (atexit can't
+/// capture state).
+inline obs::OutputFlags& bench_outputs() {
+  static obs::OutputFlags outputs;
+  return outputs;
 }
 
 inline void write_timeline_out() {
   const obs::Timeline* tl = bench_timeline();
   if (tl == nullptr) return;
-  const std::string& json = timeline_out_path();
+  const std::string& json = bench_outputs().timeline_out;
   if (!json.empty() && !obs::write_timeline_json(json, *tl)) {
     std::fprintf(stderr, "cannot write --timeline-out file %s\n",
                  json.c_str());
   }
-  const std::string& csv = timeline_csv_path();
+  const std::string& csv = bench_outputs().timeline_csv;
   if (!csv.empty() && !obs::write_timeline_csv(csv, *tl)) {
     std::fprintf(stderr, "cannot write --timeline-csv file %s\n",
                  csv.c_str());
@@ -238,39 +233,18 @@ inline runner::PoolOptions pool_options(const RunConfig& cfg) {
   return opt;
 }
 
-/// Shared storage for the atexit hook (atexit can't capture state).
-inline std::string& metrics_out_path() {
-  static std::string path;
-  return path;
-}
-
-/// Write the global registry's snapshot as JSON to --metrics-out. Runs at
-/// exit so every code path of every binary archives its metrics; by then
-/// all worker registries have been merged back into the global one.
+/// --metrics-out runs at exit so every code path of every binary archives
+/// its metrics; by then all worker registries have been merged back into
+/// the global one.
 inline void write_metrics_out() {
-  const std::string& path = metrics_out_path();
-  if (path.empty()) return;
-  const std::string json =
-      obs::to_json(obs::MetricsRegistry::global().snapshot());
-  if (path == "-") {
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    std::fputc('\n', stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write --metrics-out file %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  obs::write_metrics_out(bench_outputs().metrics_out);
 }
 
 inline RunConfig parse_args(int argc, char** argv,
                             const char* bench_name = "bench") {
   RunConfig cfg;
   for (int i = 1; i < argc; ++i) {
+    if (cfg.outputs.parse(argv[i])) continue;
     if (std::strncmp(argv[i], "--trials=", 9) == 0) {
       cfg.trials = std::atoi(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--servers=", 10) == 0) {
@@ -279,8 +253,6 @@ inline RunConfig parse_args(int argc, char** argv,
       cfg.seed = static_cast<u64>(std::atoll(argv[i] + 7));
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       cfg.jobs = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      cfg.metrics_out = argv[i] + 14;
     } else if (std::strncmp(argv[i], "--flight-dir=", 13) == 0) {
       cfg.flight_dir = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
@@ -293,10 +265,6 @@ inline RunConfig parse_args(int argc, char** argv,
       cfg.heartbeat = std::atof(argv[i] + 12);
     } else if (std::strncmp(argv[i], "--phase-trace=", 14) == 0) {
       cfg.phase_trace = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--timeline-out=", 15) == 0) {
-      cfg.timeline_out = argv[i] + 15;
-    } else if (std::strncmp(argv[i], "--timeline-csv=", 15) == 0) {
-      cfg.timeline_csv = argv[i] + 15;
     } else if (std::strncmp(argv[i], "--timeline-bucket-ms=", 21) == 0) {
       cfg.timeline_bucket_ms = std::atoi(argv[i] + 21);
     } else {
@@ -311,8 +279,8 @@ inline RunConfig parse_args(int argc, char** argv,
       std::exit(2);
     }
   }
-  if (!cfg.metrics_out.empty()) {
-    metrics_out_path() = cfg.metrics_out;
+  bench_outputs() = cfg.outputs;
+  if (!cfg.outputs.metrics_out.empty()) {
     std::atexit(write_metrics_out);
   }
   if (!cfg.report.empty()) {
@@ -330,9 +298,7 @@ inline RunConfig parse_args(int argc, char** argv,
     phase_trace_path() = cfg.phase_trace;
     std::atexit(write_phase_trace_out);
   }
-  if (!cfg.timeline_out.empty() || !cfg.timeline_csv.empty()) {
-    timeline_out_path() = cfg.timeline_out;
-    timeline_csv_path() = cfg.timeline_csv;
+  if (cfg.outputs.timeline()) {
     static obs::Timeline timeline{
         SimTime::from_ms(std::max(1, cfg.timeline_bucket_ms))};
     // Kept installed for the process lifetime; never popped, so the scope

@@ -1,6 +1,9 @@
 #include "core/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace ys::json {
@@ -52,8 +55,14 @@ class Parser {
   bool parse_value(Value& out) {
     if (eof()) return false;
     switch (peek()) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) return false;
+        ++depth_;
+        const bool ok = peek() == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         out.type = Value::Type::kString;
         return parse_string(out.string);
@@ -187,12 +196,72 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
 
 std::optional<Value> parse(std::string_view text) {
   return Parser(text).run();
+}
+
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+std::string quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_string(out, s);
+  return out;
+}
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+  } else if (std::fabs(v) < 1e15 &&
+             v == static_cast<double>(static_cast<i64>(v))) {
+    append_int(out, static_cast<i64>(v));
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out += buf;
+  }
+}
+
+std::string number(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
+
+void append_int(std::string& out, i64 v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void append_uint(std::string& out, u64 v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace ys::json

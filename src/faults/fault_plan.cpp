@@ -2,9 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
+#include "core/file_io.h"
 #include "core/json.h"
 
 namespace ys::faults {
@@ -292,14 +291,12 @@ bool json_double(const json::Value& obj, const char* key, double fallback,
 }
 
 FaultPlan parse_json(const std::string& path, std::string& error) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
     error = "fault plan: cannot read '" + path + "'";
     return FaultPlan{};
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::optional<json::Value> doc = json::parse(buf.str());
+  const std::optional<json::Value> doc = json::parse(*text);
   if (!doc || !doc->is_object()) {
     error = "fault plan: '" + path + "' is not a JSON object";
     return FaultPlan{};

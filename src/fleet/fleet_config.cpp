@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
+#include "core/file_io.h"
 #include "core/json.h"
 
 namespace ys::fleet {
@@ -134,14 +133,12 @@ bool apply_field(FleetConfig& cfg, const std::string& key,
 
 FleetConfig parse_json_config(const std::string& path, std::string& error) {
   FleetConfig cfg;
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
     error = "cannot read fleet config file " + path;
     return cfg;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  auto doc = json::parse(buf.str());
+  auto doc = json::parse(*text);
   if (!doc || !doc->is_object()) {
     error = "fleet config file " + path + " is not a JSON object";
     return cfg;

@@ -1,50 +1,11 @@
 #include "obs/export.h"
 
-#include <cmath>
 #include <cstdio>
 
+#include "core/file_io.h"
+#include "core/json.h"
+
 namespace ys::obs {
-
-namespace {
-
-/// Shortest round-trippable rendering of a double that is valid JSON (no
-/// bare "inf"/"nan"; those become null, which JSON consumers can detect).
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  // %.17g round-trips but is ugly for the common integral values.
-  if (v == static_cast<double>(static_cast<i64>(v)) &&
-      std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string to_table(const Snapshot& snap) {
   std::string out;
@@ -75,43 +36,74 @@ std::string to_json(const Snapshot& snap) {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
-    out += first ? "\n" : ",\n";
+    out += first ? "\n    " : ",\n    ";
     first = false;
-    out += "    \"" + json_escape(name) +
-           "\": " + std::to_string(value);
+    json::append_string(out, name);
+    out += ": ";
+    json::append_uint(out, value);
   }
   out += first ? "},\n" : "\n  },\n";
 
   out += "  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
-    out += first ? "\n" : ",\n";
+    out += first ? "\n    " : ",\n    ";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + json_number(value);
+    json::append_string(out, name);
+    out += ": ";
+    json::append_number(out, value);
   }
   out += first ? "},\n" : "\n  },\n";
 
   out += "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : snap.histograms) {
-    out += first ? "\n" : ",\n";
+    out += first ? "\n    " : ",\n    ";
     first = false;
-    out += "    \"" + json_escape(name) + "\": {\"bounds\": [";
+    json::append_string(out, name);
+    out += ": {\"bounds\": [";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       if (i > 0) out += ", ";
-      out += json_number(h.bounds[i]);
+      json::append_number(out, h.bounds[i]);
     }
     out += "], \"counts\": [";
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       if (i > 0) out += ", ";
-      out += std::to_string(h.counts[i]);
+      json::append_uint(out, h.counts[i]);
     }
-    out += "], \"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + json_number(h.sum) + "}";
+    out += "], \"count\": ";
+    json::append_uint(out, h.count);
+    out += ", \"sum\": ";
+    json::append_number(out, h.sum);
+    out += '}';
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
+}
+
+bool write_metrics_out(const std::string& path) {
+  if (path.empty()) return true;
+  const std::string json = to_json(MetricsRegistry::global().snapshot()) + '\n';
+  const bool ok = path == "-"
+                      ? std::fwrite(json.data(), 1, json.size(), stdout) ==
+                            json.size()
+                      : write_file(path, json);
+  if (!ok) {
+    std::fprintf(stderr, "cannot write --metrics-out file %s\n", path.c_str());
+  }
+  return ok;
+}
+
+bool OutputFlags::parse(std::string_view arg) {
+  const auto take = [arg](std::string_view flag, std::string& field) {
+    if (arg.substr(0, flag.size()) != flag) return false;
+    field = arg.substr(flag.size());
+    return true;
+  };
+  return take("--metrics-out=", metrics_out) ||
+         take("--timeline-out=", timeline_out) ||
+         take("--timeline-csv=", timeline_csv);
 }
 
 }  // namespace ys::obs

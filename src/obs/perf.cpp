@@ -7,45 +7,13 @@
 #include <ctime>
 #include <thread>
 
+#include "core/file_io.h"
 #include "core/json.h"
 #include "obs/export.h"
 
 namespace ys::obs::perf {
 
 namespace {
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  if (v == static_cast<double>(static_cast<i64>(v)) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const char* direction_name(Direction d) {
   switch (d) {
@@ -159,14 +127,14 @@ BenchReport make_report(const std::string& name) {
 std::string BenchReport::to_json() const {
   std::string out = "{\n";
   out += "  \"schema\": " + std::to_string(schema) + ",\n";
-  out += "  \"name\": \"" + json_escape(name) + "\",\n";
+  out += "  \"name\": " + json::quote(name) + ",\n";
 
   out += "  \"env\": {";
   bool first = true;
   for (const auto& [k, v] : env) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(k) + "\": \"" + json_escape(v) + "\"";
+    out += "    " + json::quote(k) + ": " + json::quote(v);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -175,20 +143,20 @@ std::string BenchReport::to_json() const {
   for (const auto& [k, v] : config) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(k) + "\": " + json_number(v);
+    out += "    " + json::quote(k) + ": " + json::number(v);
   }
   out += first ? "},\n" : "\n  },\n";
 
-  out += "  \"wall_seconds\": " + json_number(wall_seconds) + ",\n";
+  out += "  \"wall_seconds\": " + json::number(wall_seconds) + ",\n";
 
   out += "  \"metrics\": {";
   first = true;
   for (const auto& [k, m] : metrics) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(k) + "\": {\"value\": " +
-           json_number(m.value) + ", \"unit\": \"" + json_escape(m.unit) +
-           "\", \"better\": \"" + direction_name(m.direction) + "\"}";
+    out += "    " + json::quote(k) + ": {\"value\": " +
+           json::number(m.value) + ", \"unit\": " + json::quote(m.unit) +
+           ", \"better\": \"" + direction_name(m.direction) + "\"}";
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -197,9 +165,9 @@ std::string BenchReport::to_json() const {
   for (const auto& p : phases) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + json_escape(p.name) +
-           "\", \"count\": " + std::to_string(p.count) +
-           ", \"wall_us\": " + json_number(p.wall_us) + "}";
+    out += "    {\"name\": " + json::quote(p.name) +
+           ", \"count\": " + std::to_string(p.count) +
+           ", \"wall_us\": " + json::number(p.wall_us) + "}";
   }
   out += first ? "],\n" : "\n  ],\n";
 
@@ -290,26 +258,17 @@ std::optional<BenchReport> BenchReport::from_json(const std::string& text,
 }
 
 bool BenchReport::write(const std::string& path) const {
-  const std::string text = to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  return std::fclose(f) == 0 && n == text.size();
+  return write_file(path, to_json());
 }
 
 std::optional<BenchReport> BenchReport::load(const std::string& path,
                                              std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
     if (error != nullptr) *error = "cannot open " + path;
     return std::nullopt;
   }
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  auto report = from_json(text, error);
+  auto report = from_json(*text, error);
   if (!report && error != nullptr) *error = path + ": " + *error;
   return report;
 }
@@ -411,19 +370,19 @@ std::string DiffResult::to_json() const {
   out += "  \"env_mismatches\": [";
   for (std::size_t i = 0; i < env_mismatches.size(); ++i) {
     if (i != 0) out += ", ";
-    out += "\"" + json_escape(env_mismatches[i]) + "\"";
+    json::append_string(out, env_mismatches[i]);
   }
   out += "],\n";
   out += "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const DiffRow& row = rows[i];
-    out += "    {\"metric\": \"" + json_escape(row.metric) + "\", \"unit\": \"" +
-           json_escape(row.unit) + "\", \"direction\": \"" +
+    out += "    {\"metric\": " + json::quote(row.metric) + ", \"unit\": " +
+           json::quote(row.unit) + ", \"direction\": \"" +
            direction_name(row.direction) + "\", \"old\": " +
-           json_number(row.old_value) + ", \"new\": " +
-           json_number(row.new_value) + ", \"delta\": " +
-           json_number(row.delta) + ", \"tolerance\": " +
-           json_number(row.tolerance) + ", \"status\": \"" +
+           json::number(row.old_value) + ", \"new\": " +
+           json::number(row.new_value) + ", \"delta\": " +
+           json::number(row.delta) + ", \"tolerance\": " +
+           json::number(row.tolerance) + ", \"status\": \"" +
            to_string(row.status) + "\"}";
     out += i + 1 < rows.size() ? ",\n" : "\n";
   }

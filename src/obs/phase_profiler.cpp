@@ -1,9 +1,11 @@
 #include "obs/phase_profiler.h"
 
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <mutex>
+
+#include "core/file_io.h"
+#include "obs/trace_export.h"
 
 namespace ys::obs::perf {
 
@@ -84,33 +86,20 @@ void PhaseProfiler::reset() {
 }
 
 bool write_phase_trace(const std::string& path) {
-  const std::vector<ThreadPhases> threads = PhaseProfiler::by_thread();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs("{\"traceEvents\": [\n", f);
-  bool first = true;
-  int tid = 0;
-  for (const ThreadPhases& t : threads) {
-    std::fprintf(f,
-                 "%s{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-                 "\"tid\": %d, \"args\": {\"name\": \"%s\"}}",
-                 first ? "" : ",\n", tid, t.label.c_str());
-    first = false;
+  TraceEventWriter w;
+  u64 tid = 0;
+  for (const ThreadPhases& t : PhaseProfiler::by_thread()) {
+    w.thread_name(tid, t.label);
     double at_us = 0.0;
     for (const auto& [name, agg] : t.phases) {
       const double dur_us = static_cast<double>(agg.wall_ns) / 1000.0;
-      std::fprintf(f,
-                   ",\n{\"name\": \"%s\", \"ph\": \"X\", \"pid\": 1, "
-                   "\"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, "
-                   "\"args\": {\"count\": %llu}}",
-                   name.c_str(), tid, at_us, dur_us,
-                   static_cast<unsigned long long>(agg.count));
+      w.complete(tid, at_us, dur_us, "phase", name);
+      w.arg("count", agg.count);
       at_us += dur_us;
     }
     ++tid;
   }
-  std::fputs("\n]}\n", f);
-  return std::fclose(f) == 0;
+  return write_file(path, w.finish());
 }
 
 }  // namespace ys::obs::perf

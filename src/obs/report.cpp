@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/json.h"
 #include "obs/timeline.h"
 
 namespace ys::obs {
@@ -589,7 +590,7 @@ std::string render_timeline_html(const TimelineDoc& doc,
   for (const std::string& n : names) {
     if (!first) out << ',';
     first = false;
-    out << '"' << n << '"';
+    out << json::quote(n);
   }
   out << "]}</script>\n";
   out << "<script type=\"application/json\" id=\"timeline-totals\">{";
@@ -597,7 +598,7 @@ std::string render_timeline_html(const TimelineDoc& doc,
   for (const auto& [name, total] : totals) {
     if (!first) out << ',';
     first = false;
-    out << '"' << name << "\":" << fmt_i64(total);
+    out << json::quote(name) << ':' << fmt_i64(total);
   }
   out << "}</script>\n";
   out << "</body></html>\n";

@@ -1,38 +1,11 @@
 #include "obs/timeline_export.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
+#include "core/file_io.h"
 #include "core/json.h"
 
 namespace ys::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void append_labels_json(std::string& out, const TimelineLabels& labels) {
   out += '{';
@@ -40,32 +13,11 @@ void append_labels_json(std::string& out, const TimelineLabels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += json_escape(k);
-    out += "\":\"";
-    out += json_escape(v);
-    out += '"';
+    json::append_string(out, k);
+    out += ':';
+    json::append_string(out, v);
   }
   out += '}';
-}
-
-void append_i64(std::string& out, i64 v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
-
-void append_u64(std::string& out, u64 v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
 }
 
 /// "k1=v1;k2=v2" — labels flattened for the CSV cell (labels never
@@ -93,15 +45,15 @@ std::string timeline_to_json(const Timeline& tl) {
   std::string out;
   out.reserve(4096);
   out += "{\"schema\":\"ys.timeline.v1\",\"bucket_us\":";
-  append_i64(out, tl.bucket_width().us);
+  json::append_int(out, tl.bucket_width().us);
   out += ",\"series\":[";
   bool first_series = true;
   for (const auto& [key, series] : tl.series()) {
     if (!first_series) out += ',';
     first_series = false;
-    out += "{\"name\":\"";
-    out += json_escape(key.name);
-    out += "\",\"labels\":";
+    out += "{\"name\":";
+    json::append_string(out, key.name);
+    out += ",\"labels\":";
     append_labels_json(out, key.labels);
     out += ",\"kind\":\"";
     out += to_string(series.kind);
@@ -111,15 +63,15 @@ std::string timeline_to_json(const Timeline& tl) {
       if (!first_point) out += ',';
       first_point = false;
       out += "{\"bucket\":";
-      append_i64(out, bucket);
+      json::append_int(out, bucket);
       out += ",\"sum\":";
-      append_i64(out, v.sum);
+      json::append_int(out, v.sum);
       out += ",\"count\":";
-      append_u64(out, v.count);
+      json::append_uint(out, v.count);
       out += ",\"min\":";
-      append_i64(out, v.min);
+      json::append_int(out, v.min);
       out += ",\"max\":";
-      append_i64(out, v.max);
+      json::append_int(out, v.max);
       out += '}';
     }
     out += "]}";
@@ -130,12 +82,12 @@ std::string timeline_to_json(const Timeline& tl) {
     if (!first_ann) out += ',';
     first_ann = false;
     out += "{\"bucket\":";
-    append_i64(out, a.bucket);
-    out += ",\"category\":\"";
-    out += json_escape(a.category);
-    out += "\",\"text\":\"";
-    out += json_escape(a.text);
-    out += "\"}";
+    json::append_int(out, a.bucket);
+    out += ",\"category\":";
+    json::append_string(out, a.category);
+    out += ",\"text\":";
+    json::append_string(out, a.text);
+    out += '}';
   }
   out += "]}\n";
   return out;
@@ -152,17 +104,17 @@ std::string timeline_to_csv(const Timeline& tl) {
       out += ',';
       out += to_string(series.kind);
       out += ',';
-      append_i64(out, bucket);
+      json::append_int(out, bucket);
       out += ',';
-      append_i64(out, tl.bucket_start(bucket).us);
+      json::append_int(out, tl.bucket_start(bucket).us);
       out += ',';
-      append_i64(out, v.sum);
+      json::append_int(out, v.sum);
       out += ',';
-      append_u64(out, v.count);
+      json::append_uint(out, v.count);
       out += ',';
-      append_i64(out, v.min);
+      json::append_int(out, v.min);
       out += ',';
-      append_i64(out, v.max);
+      json::append_int(out, v.max);
       out += '\n';
     }
   }
@@ -280,14 +232,12 @@ std::optional<TimelineDoc> parse_timeline_json(const std::string& text,
 
 std::optional<TimelineDoc> load_timeline_file(const std::string& path,
                                               std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
     if (error != nullptr) *error = "cannot open " + path;
     return std::nullopt;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_timeline_json(ss.str(), error);
+  return parse_timeline_json(*text, error);
 }
 
 }  // namespace ys::obs

@@ -1,57 +1,90 @@
 #include "obs/trace_export.h"
 
-#include <cstdio>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
+
+#include "core/file_io.h"
+#include "core/json.h"
 
 namespace ys::obs {
 
-namespace {
+TraceEventWriter::TraceEventWriter()
+    : out_("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[") {}
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+void TraceEventWriter::begin_event() {
+  if (args_open_) out_ += "}}";
+  args_open_ = false;
+  if (!first_event_) out_ += ',';
+  first_event_ = false;
+  out_ += '{';
 }
 
-void append_kv(std::string& out, const char* key, u64 v, bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
+void TraceEventWriter::thread_name(u64 tid, std::string_view name) {
+  begin_event();
+  out_ += "\"ph\":\"M\",\"pid\":1,\"tid\":";
+  json::append_uint(out_, tid);
+  out_ += ",\"name\":\"thread_name\",\"args\":{\"name\":";
+  json::append_string(out_, name);
+  out_ += "}}";
 }
 
-void append_kv(std::string& out, const char* key, const std::string& v,
-               bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  out += '"';
-  out += key;
-  out += "\":";
-  append_escaped(out, v);
+void TraceEventWriter::complete(u64 tid, double ts_us, double dur_us,
+                                std::string_view cat, std::string_view name) {
+  begin_event();
+  out_ += "\"ph\":\"X\",\"pid\":1,\"tid\":";
+  json::append_uint(out_, tid);
+  out_ += ",\"ts\":";
+  json::append_number(out_, ts_us);
+  out_ += ",\"dur\":";
+  json::append_number(out_, dur_us);
+  out_ += ",\"cat\":";
+  json::append_string(out_, cat);
+  out_ += ",\"name\":";
+  json::append_string(out_, name);
+  out_ += ",\"args\":{";
+  args_open_ = true;
+  first_arg_ = true;
 }
 
-}  // namespace
+void TraceEventWriter::begin_arg(std::string_view key) {
+  if (!first_arg_) out_ += ',';
+  first_arg_ = false;
+  json::append_string(out_, key);
+  out_ += ':';
+}
+
+void TraceEventWriter::arg(std::string_view key, u64 value) {
+  begin_arg(key);
+  json::append_uint(out_, value);
+}
+
+void TraceEventWriter::arg(std::string_view key, std::string_view value) {
+  begin_arg(key);
+  json::append_string(out_, value);
+}
+
+void TraceEventWriter::flow(bool start, u64 tid, double ts_us,
+                            std::string_view name, u64 id) {
+  begin_event();
+  out_ += start ? "\"ph\":\"s\",\"pid\":1,\"tid\":"
+                : "\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":";
+  json::append_uint(out_, tid);
+  out_ += ",\"ts\":";
+  json::append_number(out_, ts_us);
+  out_ += ",\"cat\":";
+  json::append_string(out_, name);
+  out_ += ",\"name\":";
+  json::append_string(out_, name);
+  out_ += ",\"id\":";
+  json::append_uint(out_, id);
+  out_ += '}';
+}
+
+std::string TraceEventWriter::finish() {
+  if (args_open_) out_ += "}}";
+  args_open_ = false;
+  out_ += "]}";
+  return std::move(out_);
+}
 
 std::string to_chrome_trace(const TraceRecorder& trace) {
   const std::vector<TraceEvent> events = trace.events();
@@ -70,68 +103,35 @@ std::string to_chrome_trace(const TraceRecorder& trace) {
   retained.reserve(events.size());
   for (const auto& ev : events) retained.emplace(ev.id, &ev);
 
-  std::string out;
-  out.reserve(events.size() * 160 + 1024);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first_event = true;
-  auto begin_event = [&]() -> std::string& {
-    if (!first_event) out += ',';
-    first_event = false;
-    out += '{';
-    return out;
-  };
-
-  for (std::size_t i = 0; i < actors.size(); ++i) {
-    begin_event();
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "\"ph\":\"M\",\"pid\":1,\"tid\":%llu,"
-                  "\"name\":\"thread_name\",\"args\":{\"name\":",
-                  static_cast<unsigned long long>(i + 1));
-    out += buf;
-    append_escaped(out, actors[i]);
-    out += "}}";
-  }
+  TraceEventWriter w;
+  for (std::size_t i = 0; i < actors.size(); ++i) w.thread_name(i + 1, actors[i]);
 
   for (const auto& ev : events) {
-    const u64 tid = tids[ev.actor];
-    begin_event();
-    char buf[160];
     std::string name = to_string(ev.kind);
     if (ev.gfw.valid()) {
       name += ':';
       name += to_string(ev.gfw.behavior);
     }
-    out += "\"ph\":\"X\",\"pid\":1,";
-    std::snprintf(buf, sizeof(buf), "\"tid\":%llu,\"ts\":%lld,\"dur\":1,",
-                  static_cast<unsigned long long>(tid),
-                  static_cast<long long>(ev.at.us));
-    out += buf;
-    out += "\"cat\":\"trace\",\"name\":";
-    append_escaped(out, name);
-    out += ",\"args\":{";
-    bool first = true;
-    append_kv(out, "id", ev.id, &first);
-    if (ev.caused_by != 0) append_kv(out, "caused_by", ev.caused_by, &first);
+    w.complete(tids[ev.actor], static_cast<double>(ev.at.us), 1, "trace", name);
+    w.arg("id", ev.id);
+    if (ev.caused_by != 0) w.arg("caused_by", ev.caused_by);
     if (ev.packet.id != 0) {
-      append_kv(out, "packet", ev.packet.id, &first);
+      w.arg("packet", ev.packet.id);
       if (ev.packet.is_tcp) {
-        append_kv(out, "seq", ev.packet.seq, &first);
-        append_kv(out, "ack", ev.packet.ack, &first);
-        append_kv(out, "flags", ev.packet.flags, &first);
+        w.arg("seq", ev.packet.seq);
+        w.arg("ack", ev.packet.ack);
+        w.arg("flags", ev.packet.flags);
       }
-      append_kv(out, "payload_len", ev.packet.payload_len, &first);
-      append_kv(out, "ttl", ev.packet.ttl, &first);
-      append_kv(out, "dir", std::string(ev.packet.dir == 0 ? "c2s" : "s2c"),
-                &first);
-      if (ev.packet.crafted) append_kv(out, "crafted", u64{1}, &first);
+      w.arg("payload_len", ev.packet.payload_len);
+      w.arg("ttl", ev.packet.ttl);
+      w.arg("dir", ev.packet.dir == 0 ? "c2s" : "s2c");
+      if (ev.packet.crafted) w.arg("crafted", u64{1});
     }
     if (ev.gfw.valid()) {
-      append_kv(out, "gfw_from", std::string(to_string(ev.gfw.from)), &first);
-      append_kv(out, "gfw_to", std::string(to_string(ev.gfw.to)), &first);
+      w.arg("gfw_from", to_string(ev.gfw.from));
+      w.arg("gfw_to", to_string(ev.gfw.to));
     }
-    if (!ev.detail.empty()) append_kv(out, "detail", ev.detail, &first);
-    out += "}}";
+    if (!ev.detail.empty()) w.arg("detail", ev.detail);
   }
 
   // Flow arrows for causal links with both ends retained.
@@ -140,39 +140,16 @@ std::string to_chrome_trace(const TraceRecorder& trace) {
     auto it = retained.find(ev.caused_by);
     if (it == retained.end()) continue;
     const TraceEvent& cause = *it->second;
-    char buf[200];
-    begin_event();
-    std::snprintf(buf, sizeof(buf),
-                  "\"ph\":\"s\",\"pid\":1,\"tid\":%llu,\"ts\":%lld,"
-                  "\"cat\":\"cause\",\"name\":\"cause\",\"id\":%llu",
-                  static_cast<unsigned long long>(tids[cause.actor]),
-                  static_cast<long long>(cause.at.us),
-                  static_cast<unsigned long long>(ev.id));
-    out += buf;
-    out += '}';
-    begin_event();
-    std::snprintf(buf, sizeof(buf),
-                  "\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":%llu,"
-                  "\"ts\":%lld,\"cat\":\"cause\",\"name\":\"cause\","
-                  "\"id\":%llu",
-                  static_cast<unsigned long long>(tids[ev.actor]),
-                  static_cast<long long>(ev.at.us),
-                  static_cast<unsigned long long>(ev.id));
-    out += buf;
-    out += '}';
+    w.flow(true, tids[cause.actor], static_cast<double>(cause.at.us), "cause",
+           ev.id);
+    w.flow(false, tids[ev.actor], static_cast<double>(ev.at.us), "cause",
+           ev.id);
   }
-
-  out += "]}";
-  return out;
+  return w.finish();
 }
 
 bool write_chrome_trace(const std::string& path, const TraceRecorder& trace) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string doc = to_chrome_trace(trace);
-  const bool write_ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool close_ok = std::fclose(f) == 0;
-  return write_ok && close_ok;
+  return write_file(path, to_chrome_trace(trace));
 }
 
 }  // namespace ys::obs

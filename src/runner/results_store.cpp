@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/file_io.h"
 #include "core/log.h"
 #include "obs/metrics.h"
 
@@ -148,12 +149,9 @@ void ResultsStore::acquire_lock() {
 }
 
 void ResultsStore::load() {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return;  // no prior run: start fresh
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  in.close();
+  const std::optional<std::string> file = read_file(path_);
+  if (!file) return;  // no prior run: start fresh
+  const std::string& text = *file;
 
   std::size_t pos = text.find('\n');
   if (pos == std::string::npos) return;  // header torn mid-write: fresh run

@@ -11,9 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "core/clock.h"
+#include "core/file_io.h"
+#include "core/json.h"
 #include "core/log.h"
 #include "obs/timeline.h"
 
@@ -25,22 +26,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 /// Parent-side per-shard process state (pipe, partial line, deadlines).
@@ -159,7 +144,8 @@ std::string manifest_json(const SupervisorResult& result) {
                   e.shard, to_string(e.kind), e.attempt, e.at);
     out += buf;
     if (!e.detail.empty()) {
-      out += ",\"detail\":\"" + json_escape(e.detail) + "\"";
+      out += ",\"detail\":";
+      json::append_string(out, e.detail);
     }
     out += '}';
   }
@@ -169,12 +155,18 @@ std::string manifest_json(const SupervisorResult& result) {
 
 namespace {
 
+/// Replace the manifest atomically: `yourstate shard-status` reads it
+/// during a live sweep, so it must never see a half-written file. The
+/// temporary sits in the same directory, so the rename cannot cross
+/// filesystems.
 void write_manifest(const SupervisorResult& result, const std::string& dir) {
   if (dir.empty()) return;
   const std::string path = dir + "/supervisor-state.json";
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return;
-  out << manifest_json(result) << '\n';
+  const std::string tmp = path + ".tmp";
+  if (!write_file(tmp, manifest_json(result) + '\n') ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/file_io.h"
 #include "core/json.h"
 #include "obs/alloc_hook.h"
 #include "obs/metrics.h"
@@ -456,6 +457,46 @@ TEST(PhaseProfiler, TraceExportIsValidJson) {
   }
   EXPECT_TRUE(found);
   obs::perf::PhaseProfiler::reset();
+}
+
+TEST(PhaseProfiler, TraceExportEscapesLabelsAndPhaseNames) {
+  constexpr const char* kPhase = "test.\"quoted\\phase";
+  const std::string label = "w\"1\\";
+  obs::perf::PhaseProfiler::reset();
+  obs::perf::PhaseProfiler::set_thread_label(label);
+  { obs::perf::ScopedPhase p(kPhase); }
+  const std::string path = "test_perf_phases_escaped.tmp.json";
+  const bool written = obs::perf::write_phase_trace(path);
+  obs::perf::PhaseProfiler::set_thread_label("main");
+  obs::perf::PhaseProfiler::reset();
+  ASSERT_TRUE(written);
+  const std::optional<std::string> text = read_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(text.has_value());
+  const auto doc = ys::json::parse(*text);
+  ASSERT_TRUE(doc.has_value()) << *text;
+  const auto* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  double label_tid = -1;
+  double phase_tid = -2;
+  for (const auto& ev : events->array) {
+    const auto* ph = ev.find("ph");
+    const auto* name = ev.find("name");
+    const auto* tid = ev.find("tid");
+    ASSERT_TRUE(ph != nullptr && name != nullptr && tid != nullptr);
+    const auto* args = ev.find("args");
+    if (ph->string == "M" && args != nullptr) {
+      const auto* thread = args->find("name");
+      if (thread != nullptr && thread->string == label) label_tid = tid->number;
+    }
+    if (ph->string == "X" && name->string == kPhase) {
+      phase_tid = tid->number;
+      const auto* count = args != nullptr ? args->find("count") : nullptr;
+      ASSERT_NE(count, nullptr);
+      EXPECT_EQ(count->number, 1.0);
+    }
+  }
+  EXPECT_EQ(label_tid, phase_tid) << *text;
 }
 
 // ------------------------------------------------- determinism under telemetry

@@ -377,6 +377,44 @@ TEST(SupervisorProcess, HealthyShardsRunOnceAndFinish) {
   EXPECT_TRUE(json::parse(manifest).has_value());
 }
 
+TEST(SupervisorProcess, ManifestIsReplacedNotRewrittenInPlace) {
+  TempDir dir("test_supervisor_manifest_swap.tmp");
+  const std::string manifest = dir.path + "/supervisor-state.json";
+  const std::string stale = "{\"schema\":\"ys.supervisor.v1\",\"stale\":true}\n";
+  spew(manifest, stale);
+  // A second name for the old file stands in for a reader that opened it
+  // before the sweep: a swap leaves that reader a complete document, an
+  // in-place rewrite truncates it under the reader.
+  std::filesystem::create_hard_link(manifest, dir.path + "/reader-view.json");
+
+  supervisor::SupervisorOptions opt;
+  opt.heartbeat_seconds = 0.05;
+  opt.resume_dir = dir.path;
+  const auto build = [](const supervisor::ShardPartition&, int,
+                        int fd) -> std::vector<std::string> {
+    char script[96];
+    std::snprintf(script, sizeof(script), "printf 'HB 1 1\\n' >&%d; exit 0",
+                  fd);
+    return {"/bin/sh", "-c", script};
+  };
+  const auto res =
+      supervisor::supervise(supervisor::partition_vantages(2, 2), opt, build);
+  EXPECT_TRUE(res.all_complete());
+
+  EXPECT_EQ(slurp(dir.path + "/reader-view.json"), stale);
+  const std::string text = slurp(manifest);
+  EXPECT_NE(text, stale);
+  const auto doc = json::parse(text);
+  ASSERT_TRUE(doc.has_value()) << text;
+  ASSERT_NE(doc->find("shards"), nullptr);
+  EXPECT_EQ(doc->find("shards")->array.size(), 2u);
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name == "supervisor-state.json" || name == "reader-view.json")
+        << "left behind: " << name;
+  }
+}
+
 TEST(SupervisorProcess, CrashRestartsWithBackoffThenCompletes) {
   supervisor::SupervisorOptions opt;
   opt.max_restarts = 2;

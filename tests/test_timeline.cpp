@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/json.h"
 #include "fleet/fleet.h"
 #include "fleet/fleet_config.h"
 #include "obs/metrics.h"
@@ -334,6 +335,37 @@ TEST(TimelineReport, RendersSelfContainedHtml) {
   // The totals hook carries the aggregate the metrics twin reports.
   EXPECT_NE(html.find("\"fleet.flows\":" + std::to_string(sweep.flows)),
             std::string::npos);
+}
+
+TEST(TimelineReport, EmbeddedJsonEscapesSeriesNames) {
+  obs::TimelineDoc doc;
+  doc.bucket_us = 1000000;
+  obs::TimelineDoc::Series s;
+  s.name = "odd\"name\\x";
+  s.kind = "counter";
+  s.points.push_back({0, 3, 3, 1, 1});
+  doc.series.push_back(s);
+  const std::string html = obs::render_timeline_html(doc, obs::ReportOptions{});
+  for (const std::string id : {"timeline-manifest", "timeline-totals"}) {
+    const std::string marker = "id=\"" + id + "\">";
+    const std::size_t body = html.find(marker);
+    ASSERT_NE(body, std::string::npos) << id;
+    const std::size_t start = body + marker.size();
+    const std::size_t end = html.find("</script>", start);
+    ASSERT_NE(end, std::string::npos) << id;
+    const auto embedded = json::parse(html.substr(start, end - start));
+    ASSERT_TRUE(embedded.has_value()) << html.substr(start, end - start);
+    if (id == "timeline-manifest") {
+      const json::Value* series = embedded->find("series");
+      ASSERT_NE(series, nullptr);
+      ASSERT_EQ(series->array.size(), 1u);
+      EXPECT_EQ(series->array[0].string, s.name);
+    } else {
+      const json::Value* total = embedded->find(s.name);
+      ASSERT_NE(total, nullptr);
+      EXPECT_EQ(total->number, 3.0);
+    }
+  }
 }
 
 // --------------------------------------------------------- search producer

@@ -26,10 +26,12 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/file_io.h"
 #include "core/json.h"
 
 namespace ys {
@@ -45,27 +47,18 @@ struct Lint {
   }
 };
 
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
 bool is_int(const json::Value* v) {
   return v != nullptr && v->is_number() &&
          v->number == std::floor(v->number);
 }
 
 int lint_file(const char* path, std::set<std::string>& all_series_names) {
-  std::string text;
-  if (!read_file(path, text)) {
+  const std::optional<std::string> file = read_file(path);
+  if (!file) {
     std::fprintf(stderr, "%s: cannot read\n", path);
     return 2;
   }
+  const std::string& text = *file;
   const auto doc = json::parse(text);
   Lint lint{path};
   if (!doc.has_value() || !doc->is_object()) {
@@ -216,11 +209,12 @@ int lint_file(const char* path, std::set<std::string>& all_series_names) {
 }
 
 int lint_html(const char* path, const std::set<std::string>& series_names) {
-  std::string text;
-  if (!read_file(path, text)) {
+  const std::optional<std::string> file = read_file(path);
+  if (!file) {
     std::fprintf(stderr, "%s: cannot read\n", path);
     return 2;
   }
+  const std::string& text = *file;
   Lint lint{path};
   if (text.find("<svg") == std::string::npos) {
     lint.fail("no inline <svg> — not a rendered report");

@@ -3,7 +3,8 @@
 #      "ys.timeline.v1" JSON (and CSV) that timeline_lint accepts, with a
 #      metrics snapshot whose aggregate counters the timeline totals match.
 #   2. `yourstate report` must render a self-contained HTML dashboard whose
-#      manifest timeline_lint verifies against the timeline file.
+#      manifest timeline_lint verifies against the timeline file, and must
+#      exit non-zero when the --out file cannot be written (/dev/full).
 #   3. `yourstate search --timeline-out --metrics-out` must emit a lintable
 #      timeline (generation-bucketed search.* series) and a metrics file.
 #
@@ -80,6 +81,17 @@ if(NOT lint_rc EQUAL 0)
                       "${lint_out}\n${lint_err}")
 endif()
 message(STATUS "${lint_out}")
+
+execute_process(
+  COMMAND "${YOURSTATE}" report "${fleet_tl}" "--out=/dev/full"
+  RESULT_VARIABLE full_rc
+  OUTPUT_VARIABLE full_out
+  ERROR_VARIABLE full_err)
+if(full_rc EQUAL 0)
+  message(FATAL_ERROR "yourstate report claimed success writing to /dev/full:\n"
+                      "${full_out}\n${full_err}")
+endif()
+message(STATUS "report --out=/dev/full exit ${full_rc}: ${full_err}")
 
 # --- 3. search smoke run with timeline + metrics exports -------------------
 set(search_tl "${WORK_DIR}/search.timeline.json")

@@ -17,10 +17,12 @@
 // Exit 0 iff every file passes; 1 on lint findings; 2 on usage/IO errors.
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/file_io.h"
 #include "core/json.h"
 
 namespace ys {
@@ -40,22 +42,13 @@ struct Lint {
   }
 };
 
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
 int lint_file(const char* path) {
-  std::string text;
-  if (!read_file(path, text)) {
+  const std::optional<std::string> file = read_file(path);
+  if (!file) {
     std::fprintf(stderr, "%s: cannot read\n", path);
     return 2;
   }
+  const std::string& text = *file;
   const auto doc = json::parse(text);
   Lint lint{path};
   if (!doc.has_value()) {

@@ -3,7 +3,8 @@
 #      export, and trace_lint must accept the file.
 #   2. `bench_table4` at smoke scale with a flight-recorder directory must
 #      archive at least one anomalous trial, and every archived trace must
-#      pass trace_lint.
+#      pass trace_lint; the same run's --phase-trace flamegraph must pass
+#      trace_lint too.
 #
 # Invoked as:
 #   cmake -DYOURSTATE=<path> -DBENCH_TABLE4=<path> -DTRACE_LINT=<path>
@@ -49,9 +50,10 @@ message(STATUS "${lint_out}")
 
 # --- 2. flight recorder archives an anomalous cell at smoke scale ---------
 set(flight_dir "${WORK_DIR}/flight")
+set(phase_trace "${WORK_DIR}/table4.phases.json")
 execute_process(
   COMMAND "${BENCH_TABLE4}" --trials=1 --servers=3 --seed=2017
-          --flight-dir=${flight_dir}
+          --flight-dir=${flight_dir} --phase-trace=${phase_trace}
   RESULT_VARIABLE bench_rc
   OUTPUT_VARIABLE bench_out
   ERROR_VARIABLE bench_err)
@@ -80,6 +82,20 @@ execute_process(
   ERROR_VARIABLE lint_err)
 if(NOT lint_rc EQUAL 0)
   message(FATAL_ERROR "trace_lint rejected archived trace(s):\n"
+                      "${lint_out}\n${lint_err}")
+endif()
+message(STATUS "${lint_out}")
+
+if(NOT EXISTS "${phase_trace}")
+  message(FATAL_ERROR "bench_table4 did not write --phase-trace ${phase_trace}")
+endif()
+execute_process(
+  COMMAND "${TRACE_LINT}" "${phase_trace}"
+  RESULT_VARIABLE lint_rc
+  OUTPUT_VARIABLE lint_out
+  ERROR_VARIABLE lint_err)
+if(NOT lint_rc EQUAL 0)
+  message(FATAL_ERROR "trace_lint rejected the phase trace:\n"
                       "${lint_out}\n${lint_err}")
 endif()
 message(STATUS "${lint_out}")

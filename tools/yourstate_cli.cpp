@@ -103,6 +103,7 @@
 #include <string>
 #include <vector>
 
+#include "core/file_io.h"
 #include "core/json.h"
 #include "exp/benchdef.h"
 #include "fleet/fleet.h"
@@ -153,14 +154,12 @@ struct CliOptions {
   bool dump_metrics = false;
   bool metrics_as_table = false;
   std::string pcap;
-  std::string metrics_out;
   std::string domain = "www.dropbox.com";
   std::string faults;  // fault plan spec; empty = fault-free
   std::string fleet;   // fleet run spec; empty = FleetConfig defaults
   std::string program;  // ys::search program spec (trial, explain)
   int faulted_trials = -1;  // explain --bench=search scale; -1 = default
-  std::string timeline_out;   // fleet: write the run's timeline as JSON
-  std::string timeline_csv;   // fleet: same, flattened to CSV
+  obs::OutputFlags outputs;  // --metrics-out, --timeline-out, --timeline-csv
   int timeline_bucket_ms = 1000;
   // Supervised fleet sharding (`fleet --shards=N --supervise`) plus the
   // shard-child protocol flags the parent passes to its children.
@@ -200,30 +199,12 @@ void print_metrics(const CliOptions& cli) {
              stdout);
 }
 
-void write_metrics_out(const CliOptions& cli) {
-  if (cli.metrics_out.empty()) return;
-  const std::string json =
-      obs::to_json(obs::MetricsRegistry::global().snapshot());
-  if (cli.metrics_out == "-") {
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    std::fputc('\n', stdout);
-    return;
-  }
-  std::FILE* f = std::fopen(cli.metrics_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write --metrics-out file %s\n",
-                 cli.metrics_out.c_str());
-    return;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-}
-
 /// Write a recorded timeline to the --timeline-out / --timeline-csv paths
 /// (either may be empty). Shared by `fleet` and `search`.
-void write_timeline_files(const obs::Timeline& tl, const std::string& json,
-                          const std::string& csv) {
+void write_timeline_files(const obs::Timeline& tl,
+                          const obs::OutputFlags& outputs) {
+  const std::string& json = outputs.timeline_out;
+  const std::string& csv = outputs.timeline_csv;
   if (!json.empty()) {
     if (obs::write_timeline_json(json, tl)) {
       std::printf("timeline written to %s (%zu series)\n", json.c_str(),
@@ -241,16 +222,6 @@ void write_timeline_files(const obs::Timeline& tl, const std::string& json,
                    csv.c_str());
     }
   }
-}
-
-bool read_text_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
 }
 
 /// Per-strategy success-time profile from the exp.vtime.success.* virtual
@@ -462,13 +433,13 @@ int cmd_report(int argc, char** argv) {
   opt.source = files[0];
 
   if (!metrics_path.empty()) {
-    std::string text;
-    if (!read_text_file(metrics_path, text)) {
+    const std::optional<std::string> text = read_file(metrics_path);
+    if (!text) {
       std::fprintf(stderr, "cannot read --metrics file %s\n",
                    metrics_path.c_str());
       return 2;
     }
-    const auto snap = json::parse(text);
+    const auto snap = json::parse(*text);
     const json::Value* counters =
         snap.has_value() && snap->is_object() ? snap->find("counters")
                                               : nullptr;
@@ -498,14 +469,10 @@ int cmd_report(int argc, char** argv) {
                 metrics_path.c_str());
   }
 
-  const std::string html = obs::render_timeline_html(*doc, opt);
-  std::FILE* f = std::fopen(out.c_str(), "wb");
-  if (f == nullptr) {
+  if (!write_file(out, obs::render_timeline_html(*doc, opt))) {
     std::fprintf(stderr, "cannot write --out file %s\n", out.c_str());
     return 2;
   }
-  std::fwrite(html.data(), 1, html.size(), f);
-  std::fclose(f);
   std::printf("report written to %s (%zu series, %zu annotations)\n",
               out.c_str(), doc->series.size(), doc->annotations.size());
   return 0;
@@ -532,15 +499,16 @@ int cmd_shard_status(int argc, char** argv) {
     std::fprintf(stderr, "shard-status wants --resume-dir=DIR\n");
     return 2;
   }
-  std::string text;
-  if (!read_text_file(dir + "/supervisor-state.json", text)) {
+  const std::optional<std::string> text =
+      read_file(dir + "/supervisor-state.json");
+  if (!text) {
     std::fprintf(stderr,
                  "%s: no supervisor-state.json (not a --supervise resume "
                  "dir, or the sweep has not started)\n",
                  dir.c_str());
     return 2;
   }
-  const auto doc = json::parse(text);
+  const auto doc = json::parse(*text);
   const json::Value* shards =
       doc.has_value() && doc->is_object() ? doc->find("shards") : nullptr;
   if (shards == nullptr || !shards->is_array()) {
@@ -561,13 +529,11 @@ int cmd_shard_status(int argc, char** argv) {
 
     // Lock liveness: the shard's store lock names the owning pid.
     std::string lock = "-";
-    std::string lock_text;
-    if (read_text_file(
+    if (const std::optional<std::string> lock_text = read_file(
             dir + "/" + supervisor::shard_bench_name(static_cast<int>(shard)) +
-                ".results.lock",
-            lock_text)) {
+            ".results.lock")) {
       long pid = 0;
-      if (std::sscanf(lock_text.c_str(), "pid %ld", &pid) == 1 && pid > 0) {
+      if (std::sscanf(lock_text->c_str(), "pid %ld", &pid) == 1 && pid > 0) {
         const bool live = ::kill(static_cast<pid_t>(pid), 0) == 0 ||
                           errno == EPERM;
         lock = (live ? "pid " : "stale pid ") + std::to_string(pid);
@@ -618,11 +584,10 @@ int cmd_shard_status(int argc, char** argv) {
 int cmd_search(int argc, char** argv) {
   search::SearchConfig cfg;
   std::string report_path;
-  std::string metrics_out;
-  std::string timeline_out;
-  std::string timeline_csv;
+  obs::OutputFlags outputs;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (outputs.parse(arg)) continue;
     auto value = [&arg](const char* key) -> std::optional<std::string> {
       const std::string prefix = std::string(key) + "=";
       if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
@@ -654,12 +619,6 @@ int cmd_search(int argc, char** argv) {
       cfg.heartbeat = std::atof(v->c_str());
     } else if (auto v = value("--report")) {
       report_path = *v;
-    } else if (auto v = value("--metrics-out")) {
-      metrics_out = *v;
-    } else if (auto v = value("--timeline-out")) {
-      timeline_out = *v;
-    } else if (auto v = value("--timeline-csv")) {
-      timeline_csv = *v;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return usage();
@@ -671,7 +630,7 @@ int cmd_search(int argc, char** argv) {
   // series the evaluations record alongside.
   std::optional<obs::Timeline> timeline;
   std::optional<obs::ScopedTimeline> timeline_scope;
-  if (!timeline_out.empty() || !timeline_csv.empty()) {
+  if (outputs.timeline()) {
     timeline.emplace(SimTime::from_sec(1));
     timeline_scope.emplace(&*timeline);
   }
@@ -734,13 +693,9 @@ int cmd_search(int argc, char** argv) {
   }
   if (timeline.has_value()) {
     timeline_scope.reset();
-    write_timeline_files(*timeline, timeline_out, timeline_csv);
+    write_timeline_files(*timeline, outputs);
   }
-  if (!metrics_out.empty()) {
-    CliOptions cli;
-    cli.metrics_out = metrics_out;
-    write_metrics_out(cli);
-  }
+  obs::write_metrics_out(outputs.metrics_out);
   return 0;
 }
 
@@ -1006,7 +961,7 @@ int cmd_fleet_supervised(const CliOptions& cli,
       supervisor::merge_shard_stores(fl, cli.resume_dir, nshards);
 
   std::optional<obs::Timeline> timeline;
-  if (!cli.timeline_out.empty() || !cli.timeline_csv.empty()) {
+  if (cli.outputs.timeline()) {
     timeline.emplace(SimTime::from_ms(std::max(1, cli.timeline_bucket_ms)));
   }
   fl.rebuild_telemetry(merge.slots, timeline ? &*timeline : nullptr);
@@ -1014,7 +969,7 @@ int cmd_fleet_supervised(const CliOptions& cli,
     fl.annotate_timeline(&*timeline);
     supervisor::record_timeline(result, &*timeline);
     supervisor::annotate_coverage(merge, &*timeline);
-    write_timeline_files(*timeline, cli.timeline_out, cli.timeline_csv);
+    write_timeline_files(*timeline, cli.outputs);
   }
 
   std::printf("%s\n", supervisor::render_summary(result).c_str());
@@ -1102,7 +1057,7 @@ int cmd_fleet(const CliOptions& cli) {
   // the pool (worker-private copies merged back after the join).
   std::optional<obs::Timeline> timeline;
   std::optional<obs::ScopedTimeline> timeline_scope;
-  if (!cli.timeline_out.empty() || !cli.timeline_csv.empty()) {
+  if (cli.outputs.timeline()) {
     timeline.emplace(SimTime::from_ms(
         std::max(1, cli.timeline_bucket_ms)));
     timeline_scope.emplace(&*timeline);
@@ -1116,7 +1071,7 @@ int cmd_fleet(const CliOptions& cli) {
   if (timeline.has_value()) {
     fl.annotate_timeline(&*timeline);
     timeline_scope.reset();
-    write_timeline_files(*timeline, cli.timeline_out, cli.timeline_csv);
+    write_timeline_files(*timeline, cli.outputs);
   }
 
   std::printf("%s", fl.analyze(out.slots).render().c_str());
@@ -1355,6 +1310,7 @@ int run(int argc, char** argv) {
       if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
       return std::nullopt;
     };
+    if (cli.outputs.parse(arg)) continue;
     if (auto v = value("--vp")) {
       cli.vp = *v;
     } else if (auto v = value("--server")) {
@@ -1400,12 +1356,6 @@ int run(int argc, char** argv) {
       cli.trials = std::max(1, std::atoi(v->c_str()));
     } else if (auto v = value("--jobs")) {
       cli.jobs = std::atoi(v->c_str());
-    } else if (auto v = value("--metrics-out")) {
-      cli.metrics_out = *v;
-    } else if (auto v = value("--timeline-out")) {
-      cli.timeline_out = *v;
-    } else if (auto v = value("--timeline-csv")) {
-      cli.timeline_csv = *v;
     } else if (auto v = value("--timeline-bucket-ms")) {
       cli.timeline_bucket_ms = std::atoi(v->c_str());
     } else if (arg == "--trace") {
@@ -1460,13 +1410,13 @@ int run(int argc, char** argv) {
   if (cli.command == "fleet") {
     const int rc = cmd_fleet(cli);
     if (cli.dump_metrics) print_metrics(cli);
-    write_metrics_out(cli);
+    obs::write_metrics_out(cli.outputs.metrics_out);
     return rc;
   }
   if (cli.command == "explain") {
     const int rc = cmd_explain(cli);
     if (cli.dump_metrics) print_metrics(cli);
-    write_metrics_out(cli);
+    obs::write_metrics_out(cli.outputs.metrics_out);
     return rc;
   }
   const auto vp = find_vp(cli.vp);
@@ -1483,7 +1433,7 @@ int run(int argc, char** argv) {
   else if (cli.command == "stats") rc = cmd_stats(cli, *vp);
   if (rc < 0) return usage();
   if (cli.dump_metrics && cli.command != "stats") print_metrics(cli);
-  write_metrics_out(cli);
+  obs::write_metrics_out(cli.outputs.metrics_out);
   return rc;
 }
 
