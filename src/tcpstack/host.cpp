@@ -129,8 +129,7 @@ void Host::handle_tcp(const net::Packet& pkt) {
   // No endpoint and no listener: a real stack sends RST for non-RST
   // segments (connection refused).
   demux_ignores_.push_back(
-      IgnoreEvent{TcpState::kClosed, IgnoreReason::kNotListening,
-                  pkt.summary()});
+      IgnoreEvent{TcpState::kClosed, IgnoreReason::kNotListening});
   if (obs::TraceRecorder* tr = path_.trace()) {
     tr->note(loop_.now(), cfg_.name, obs::TraceKind::kIgnore,
              std::string(to_string(IgnoreReason::kNotListening)) +

@@ -64,8 +64,7 @@ void TcpEndpoint::set_state(TcpState next) {
 }
 
 void TcpEndpoint::ignore(const net::Packet& pkt, IgnoreReason reason,
-                         std::string detail) {
-  if (detail.empty()) detail = pkt.summary();
+                         const char* note) {
   count_ignore(reason, profile_.version);
   if (trace_ != nullptr) {
     // The §5.3 "server ignore path" record: which profile discarded the
@@ -80,7 +79,7 @@ void TcpEndpoint::ignore(const net::Packet& pkt, IgnoreReason reason,
                 to_string(profile_.version) + ", " + to_string(state_) + "]";
     trace_->record(std::move(ev));
   }
-  ignore_log_.push_back(IgnoreEvent{state_, reason, std::move(detail)});
+  ignore_log_.push_back(IgnoreEvent{state_, reason, note});
 }
 
 // ----------------------------------------------------------------- user API

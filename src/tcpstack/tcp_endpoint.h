@@ -98,7 +98,7 @@ class TcpEndpoint {
  private:
   void set_state(TcpState next);
   void ignore(const net::Packet& pkt, IgnoreReason reason,
-              std::string detail = {});
+              const char* note = nullptr);
 
   // Packet construction: stamps ports/addresses, window, timestamps.
   net::Packet make_segment(net::TcpFlags flags, u32 seq, u32 ack,

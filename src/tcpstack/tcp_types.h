@@ -61,7 +61,9 @@ const char* to_string(IgnoreReason r);
 struct IgnoreEvent {
   TcpState state;
   IgnoreReason reason;
-  std::string detail;
+  /// The call site's fixed note (e.g. "RST in LISTEN"), or nullptr. No
+  /// per-packet text: a trace already records the packet itself.
+  const char* note = nullptr;
 };
 
 /// Linux versions cross-validated in §5.3.
