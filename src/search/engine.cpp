@@ -14,6 +14,7 @@
 #include "obs/timeline.h"
 #include "obs/trace_export.h"
 #include "runner/results_store.h"
+#include "strategy/strategy.h"
 
 namespace ys::search {
 
@@ -58,6 +59,107 @@ double fitness_of(const std::vector<Score>& per_variant) {
 }
 
 }  // namespace
+
+const std::vector<SeedProgram>& seed_programs() {
+  // Every paper strategy class expressible over the step grammar, with the
+  // paper's ×3 redundancy where §3.4 applies. Labels are the class names
+  // classify_known() reports.
+  static const std::vector<SeedProgram> kSeeds = {
+      {"tcb-creation", "pre:syn/ttl"},
+      {"tcb-reversal", "pre:synack/ttl"},
+      {"tcb-teardown", "data:rst/ttl*3"},
+      {"in-order-overlap", "data:data/md5*3=full"},
+      {"resync-desync", "data:syn/ttl+ow;data:data+ow=1"},
+      {"improved-tcb-teardown", "data:rst/ttl*3;data:data+ow=1"},
+      {"tcb-creation+resync-desync",
+       "pre:syn/ttl;data:syn/ttl+ow;data:data+ow=1"},
+      {"tcb-teardown+tcb-reversal", "pre:synack/ttl;data:rst/ttl*3"},
+  };
+  return kSeeds;
+}
+
+std::optional<std::string> classify_known(const CandidateProgram& prog) {
+  // Class templates: the seed shapes plus the Table 1 rows they do not
+  // cover, parsed once. Matching ignores repeat counts, '*auto' and hedge
+  // intervals (redundancy tunes loss robustness, it does not change the
+  // mechanism) but is exact on phase, kind, discrepancy, anchoring and
+  // payload shape.
+  using strategy::StrategyId;
+  using Template = std::pair<const char*, CandidateProgram>;
+  static const std::vector<Template> kTemplates = [] {
+    std::vector<Template> t;
+    for (const SeedProgram& seed : seed_programs()) {
+      t.emplace_back(seed.label, *CandidateProgram::parse(seed.spec, nullptr));
+    }
+    const std::pair<const char*, StrategyId> kTable1[] = {
+        {"tcb-creation", StrategyId::kTcbCreationSynBadChecksum},
+        {"tcb-teardown", StrategyId::kTeardownRstBadChecksum},
+        {"tcb-teardown", StrategyId::kTeardownRstAckTtl},
+        {"tcb-teardown", StrategyId::kTeardownRstAckBadChecksum},
+        {"tcb-teardown", StrategyId::kTeardownFinTtl},
+        {"tcb-teardown", StrategyId::kTeardownFinBadChecksum},
+        {"in-order-overlap", StrategyId::kInOrderTtl},
+        {"in-order-overlap", StrategyId::kInOrderBadAck},
+        {"in-order-overlap", StrategyId::kInOrderBadChecksum},
+        {"in-order-overlap", StrategyId::kInOrderNoFlags},
+    };
+    for (const auto& [label, id] : kTable1) {
+      t.emplace_back(label, strategy::program(id));
+    }
+    return t;
+  }();
+
+  const auto same_shape = [](Step a, Step b) {
+    a.repeat = b.repeat = 1;
+    a.hedge_ms = b.hedge_ms = 0;
+    return a == b;
+  };
+  for (const auto& [label, reference] : kTemplates) {
+    if (std::equal(prog.steps.begin(), prog.steps.end(),
+                   reference.steps.begin(), reference.steps.end(),
+                   same_shape)) {
+      return std::string(label);
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<Step> primitive_steps() {
+  using strategy::Discrepancy;
+  // The search's packet kinds run syn..data and its discrepancies
+  // none..short-tcp-header, in enum order.
+  std::vector<Step> out;
+  for (int k = 0; k <= static_cast<int>(StepKind::kData); ++k) {
+    const auto kind = static_cast<StepKind>(k);
+    for (int d = 0; d <= static_cast<int>(Discrepancy::kShortTcpHeader); ++d) {
+      const auto disc = static_cast<Discrepancy>(d);
+      // Pre-handshake primitives: TCB-creating kinds, in-window only.
+      if (kind == StepKind::kSyn || kind == StepKind::kSynAck) {
+        Step pre;
+        pre.phase = Phase::kPreHandshake;
+        pre.kind = kind;
+        pre.disc = disc;
+        out.push_back(pre);
+      }
+      for (bool ow : {false, true}) {
+        Step s;
+        s.phase = Phase::kOnData;
+        s.kind = kind;
+        s.disc = disc;
+        s.out_of_window = ow;
+        if (kind == StepKind::kData) {
+          for (int payload : {0, 1}) {
+            s.payload = payload;
+            out.push_back(s);
+          }
+        } else {
+          out.push_back(s);
+        }
+      }
+    }
+  }
+  return out;
+}
 
 void VariantArchive::insert(ArchiveEntry e) {
   const std::string spec = e.program.spec();

@@ -28,19 +28,51 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "exp/benchdef.h"
 #include "faults/fault_plan.h"
-#include "search/program.h"
 #include "search/variant.h"
+#include "strategy/program.h"
 
 namespace ys::runner {
 class ResultsStore;
 }
 
 namespace ys::search {
+
+// The search evolves strategy programs (strategy/program.h): the same
+// grammar and executor the paper strategies run on.
+using strategy::CandidateProgram;
+using strategy::kMaxPayload;
+using strategy::kMaxRepeat;
+using strategy::kMaxSteps;
+using strategy::Phase;
+using strategy::Step;
+using strategy::StepKind;
+
+/// A named seed program (a paper strategy class expressed as a program).
+struct SeedProgram {
+  const char* label;  // paper class name
+  const char* spec;   // canonical program spec
+};
+
+/// The §3.2/§5.2/§7.1 strategy classes as programs — the search's seed
+/// population and the "rediscovered a known class" reference set.
+const std::vector<SeedProgram>& seed_programs();
+
+/// Name the paper strategy class a program belongs to, ignoring repeat
+/// counts, '*auto' and hedge intervals (redundancy is a tuning knob, not a
+/// class distinction); std::nullopt for compositions the paper never
+/// wrote down (novel).
+std::optional<std::string> classify_known(const CandidateProgram& prog);
+
+/// Every valid single-step program over the primitive grid (the
+/// property-test sweep and the mutation universe). Never 'seg', 'frag',
+/// '*auto', a hedge or '+rev': those only spell paper strategies.
+std::vector<Step> primitive_steps();
 
 struct SearchConfig {
   int population = 16;

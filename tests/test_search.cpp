@@ -14,8 +14,8 @@
 #include "core/rng.h"
 #include "runner/results_store.h"
 #include "search/engine.h"
-#include "search/program.h"
 #include "search/variant.h"
+#include "strategy/strategy.h"
 
 namespace ys {
 namespace {
@@ -137,6 +137,160 @@ TEST(SearchProgram, ClassificationIgnoresRepeatTuning) {
   EXPECT_FALSE(
       search::classify_known(parse_ok("pre:synack/bad-checksum;data:fin/md5"))
           .has_value());
+}
+
+// ------------------------------------------------- hostile spec input
+
+/// Every canonical spec the repo ships: the paper strategy table and the
+/// search's seed population.
+std::vector<std::string> canonical_specs() {
+  std::vector<std::string> out;
+  for (strategy::StrategyId id : strategy::all_strategies()) {
+    out.emplace_back(strategy::spec(id));
+  }
+  for (const auto& seed : search::seed_programs()) out.emplace_back(seed.spec);
+  return out;
+}
+
+TEST(StrategySpecMutation, CanonicalSpecsRoundTripByteExact) {
+  for (const std::string& text : canonical_specs()) {
+    EXPECT_EQ(parse_ok(text).spec(), text);
+  }
+}
+
+TEST(StrategySpecMutation, MutatedSpecsNeverCrashAndRoundTrip) {
+  // Splice, flip and truncate bytes of every canonical spec. parse() must
+  // either reject with a reason or accept a program whose canonical spec
+  // re-parses to the same program, byte-exact.
+  const std::vector<std::string> corpus = canonical_specs();
+  static constexpr char kAlphabet[] = "predatsynckfgowv/*~+=;:0123456789 \xff";
+  Rng rng(20171101);
+  int accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string text = corpus[rng.uniform(corpus.size())];
+    for (u64 edits = 1 + rng.uniform(3); edits > 0; --edits) {
+      const std::size_t at = rng.uniform(text.size() + 1);
+      switch (rng.uniform(3)) {
+        case 0: {  // splice in a slice of another spec
+          const std::string& other = corpus[rng.uniform(corpus.size())];
+          const std::size_t from = rng.uniform(other.size());
+          text.insert(at, other.substr(from, 1 + rng.uniform(8)));
+          break;
+        }
+        case 1:  // flip one byte
+          if (at < text.size()) {
+            text[at] = kAlphabet[rng.uniform(sizeof(kAlphabet) - 1)];
+          }
+          break;
+        default:  // truncate
+          text.resize(at);
+          break;
+      }
+    }
+    std::string error;
+    const auto prog = CandidateProgram::parse(text, &error);
+    if (!prog) {
+      EXPECT_FALSE(error.empty()) << text;
+      continue;
+    }
+    ++accepted;
+    ASSERT_TRUE(prog->valid()) << text;
+    const std::string canonical = prog->spec();
+    const auto back = CandidateProgram::parse(canonical, &error);
+    ASSERT_TRUE(back.has_value()) << text << " -> " << canonical << ": "
+                                  << error;
+    EXPECT_EQ(*back, *prog) << text;
+    EXPECT_EQ(back->spec(), canonical) << text;
+  }
+  // The mutations must reach the accepting side too, not only errors.
+  EXPECT_GT(accepted, 500);
+}
+
+TEST(StrategySpecMutation, ExtendedGrammarRejectsMisuse) {
+  const char* bad[] = {
+      // seg/frag replace the request: no other data-phase step ...
+      "data:seg;data:rst/ttl",
+      "data:rst/ttl;data:frag",
+      "data:seg;data:frag",
+      // ... and no discrepancy, repeat, hedge, flag or payload.
+      "data:seg/ttl",
+      "data:frag*2",
+      "data:seg*auto",
+      "data:frag~20",
+      "data:seg+ow",
+      "data:frag+rev",
+      "data:seg=full",
+      "pre:frag",
+      // +rev forges the server's side of an established connection.
+      "pre:syn/ttl+rev",
+      "pre:synack+rev",
+      // The hedge interval is 1..kMaxHedgeMs.
+      "data:rst/ttl*3~0",
+      "data:rst/ttl*3~101",
+      "data:rst/ttl*3~99999",
+      "data:rst~",
+      "data:rst*auto*3",
+      "data:rst+rev+rev",
+  };
+  for (const char* text : bad) {
+    std::string error;
+    EXPECT_FALSE(CandidateProgram::parse(text, &error).has_value()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+
+  // valid() holds the same line for programs built in code.
+  using strategy::Discrepancy;
+  const auto invalid = [](Step s, const char* what) {
+    EXPECT_FALSE(CandidateProgram{{s}}.valid()) << what;
+  };
+  Step seg;
+  seg.kind = StepKind::kSeg;
+  seg.disc = Discrepancy::kNone;
+  EXPECT_TRUE(CandidateProgram{{seg}}.valid());
+  EXPECT_FALSE((CandidateProgram{{seg, Step{}}}.valid()));
+  for (auto tweak : {+[](Step& s) { s.disc = Discrepancy::kSmallTtl; },
+                     +[](Step& s) { s.repeat = 3; },
+                     +[](Step& s) { s.repeat = strategy::kAutoRepeat; },
+                     +[](Step& s) { s.hedge_ms = 20; },
+                     +[](Step& s) { s.out_of_window = true; },
+                     +[](Step& s) { s.payload = 1; }}) {
+    Step s = seg;
+    tweak(s);
+    invalid(s, to_string(s.kind));
+  }
+  Step rev;
+  rev.phase = Phase::kPreHandshake;
+  rev.kind = StepKind::kSyn;
+  rev.reversed = true;
+  invalid(rev, "pre-phase +rev");
+  Step hedge;
+  hedge.hedge_ms = strategy::kMaxHedgeMs + 1;
+  invalid(hedge, "hedge above range");
+  hedge.hedge_ms = -1;
+  invalid(hedge, "negative hedge");
+}
+
+TEST(StrategySpecMutation, SearchNeverDrawsTheExtendedTokens) {
+  for (const Step& s : search::primitive_steps()) {
+    EXPECT_NE(s.kind, StepKind::kSeg);
+    EXPECT_NE(s.kind, StepKind::kFrag);
+    EXPECT_EQ(s.hedge_ms, 0);
+    EXPECT_FALSE(s.reversed);
+    EXPECT_NE(s.repeat, strategy::kAutoRepeat);
+  }
+}
+
+TEST(SearchProgram, ClassifiesTable1RowsIgnoringAutoAndHedge) {
+  using strategy::StrategyId;
+  EXPECT_EQ(
+      search::classify_known(strategy::program(StrategyId::kTeardownFinTtl)),
+      "tcb-teardown");
+  EXPECT_EQ(search::classify_known(parse_ok("data:fin/ttl*2")), "tcb-teardown");
+  EXPECT_EQ(search::classify_known(parse_ok("data:data/no-flags=full")),
+            "in-order-overlap");
+  EXPECT_EQ(search::classify_known(parse_ok("pre:syn/bad-checksum")),
+            "tcb-creation");
+  EXPECT_FALSE(search::classify_known(parse_ok("data:frag")).has_value());
 }
 
 TEST(SearchProgram, InsertionCostSumsRepeats) {
