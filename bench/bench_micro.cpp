@@ -159,10 +159,10 @@ BENCHMARK(BM_EventLoopPacketEvents)->Arg(0)->Arg(1);
 void BM_KvStoreSetGet(benchmark::State& state) {
   intang::KvStore store;
   SimTime now = SimTime::zero();
-  int i = 0;
+  intang::KvKey i = 0;
   for (auto _ : state) {
-    store.set("key" + std::to_string(i % 512), "value", now);
-    benchmark::DoNotOptimize(store.get("key" + std::to_string(i % 512), now));
+    store.set(i % 512, static_cast<i64>(i), now);
+    benchmark::DoNotOptimize(store.get(i % 512, now));
     ++i;
   }
 }

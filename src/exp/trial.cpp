@@ -420,8 +420,10 @@ TrialResult run_vpn_trial(Scenario& scenario, const VpnTrialOptions& opt) {
 
   std::optional<strategy::StrategyId> intang_choice;
   if (opt.use_intang && evasion.intang) {
-    intang_choice = evasion.intang->strategy_for(conn->tuple());
-    if (intang_choice) result.strategy_used = *intang_choice;
+    if (auto choice = evasion.intang->choice_for(conn->tuple())) {
+      intang_choice = choice->id;
+      result.strategy_used = choice->id;
+    }
   }
 
   result.response_received = !conn->received_stream().empty();

@@ -6,9 +6,9 @@
 // shared virtual timeline — every flow is a pooled-profile Scenario whose
 // clock starts at the flow's arrival instant, so TTL-bearing selector
 // records age consistently across the whole sweep. Clients on one vantage
-// share a snapshot-consistent SharedKvStore (or keep private stores, or
-// none, per the cache-sharing mode), which is what converges the
-// population onto the best strategy per server.
+// share one SharedKvStore (or keep private stores, or none, per the
+// cache-sharing mode), which is what converges the population onto the
+// best strategy per server.
 //
 // The sweep rides ys::runner under the hard determinism contract: the grid
 // is one chain per vantage (chain_trials), every flow's result encodes

@@ -43,13 +43,6 @@ Intang::Intang(tcp::Host& client, Config cfg, Rng rng,
       [this](net::Packet& pkt) { return ingress(pkt); });
 }
 
-std::optional<strategy::StrategyId> Intang::strategy_for(
-    const net::FourTuple& tuple) const {
-  auto it = conns_.find(tuple);
-  if (it == conns_.end()) return std::nullopt;
-  return it->second.choice.id;
-}
-
 std::optional<StrategySelector::Choice> Intang::choice_for(
     const net::FourTuple& tuple) const {
   auto it = conns_.find(tuple);
@@ -73,7 +66,6 @@ tcp::Host::Verdict Intang::ingress(net::Packet& pkt) {
     if (it != conns_.end() && !it->second.reported) {
       if (pkt.tcp->flags.rst) {
         it->second.reported = true;
-        ++failures_;
         selector_->report(it->first.dst_ip, it->second.choice.id, /*success=*/false,
                          client_.loop().now());
         if (obs::TraceRecorder* tr = client_.path().trace()) {
@@ -91,7 +83,6 @@ tcp::Host::Verdict Intang::ingress(net::Packet& pkt) {
         }
       } else if (!pkt.payload.empty()) {
         it->second.reported = true;
-        ++successes_;
         consecutive_failures_[it->first.dst_ip] = 0;
         selector_->report(it->first.dst_ip, it->second.choice.id, /*success=*/true,
                          client_.loop().now());

@@ -41,11 +41,6 @@ class Intang {
 
   StrategySelector& selector() { return *selector_; }
   DnsForwarder* dns_forwarder() { return forwarder_ ? &*forwarder_ : nullptr; }
-  strategy::StrategyEngine& engine() { return *engine_; }
-
-  /// The strategy INTANG picked for a given connection (client tuple).
-  std::optional<strategy::StrategyId> strategy_for(
-      const net::FourTuple& tuple) const;
 
   /// The full selector decision for a connection, including where it came
   /// from (cache hit, store hit, cold pick, ...). Fleet sweeps use the
@@ -53,9 +48,6 @@ class Intang {
   /// supplied it.
   std::optional<StrategySelector::Choice> choice_for(
       const net::FourTuple& tuple) const;
-
-  int successes_reported() const { return successes_; }
-  int failures_reported() const { return failures_; }
 
   /// §7.1's unimplemented optimization, implemented: after repeated
   /// failures toward one server, raise the insertion-packet redundancy for
@@ -79,8 +71,6 @@ class Intang {
   std::optional<DnsForwarder> forwarder_;
   std::unordered_map<net::FourTuple, ConnRecord, net::FourTupleHash> conns_;
   std::unordered_map<net::IpAddr, int> consecutive_failures_;
-  int successes_ = 0;
-  int failures_ = 0;
 };
 
 }  // namespace ys::intang

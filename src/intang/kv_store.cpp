@@ -1,8 +1,5 @@
 #include "intang/kv_store.h"
 
-#include <algorithm>
-#include <charconv>
-
 #include "obs/metrics.h"
 
 namespace ys::intang {
@@ -29,19 +26,12 @@ KvMetrics& metrics() {
 
 }  // namespace
 
-void KvStore::set(const std::string& key, std::string value, SimTime now,
-                  SimTime ttl) {
+void KvStore::set(KvKey key, i64 value, SimTime now, SimTime ttl) {
   metrics().sets.inc();
-  Entry e;
-  e.value = std::move(value);
-  if (ttl.us > 0) {
-    e.expires = true;
-    e.expiry = now + ttl;
-  }
-  map_[key] = std::move(e);
+  map_[key] = Entry{value, ttl > SimTime::zero() ? now + ttl : SimTime::zero()};
 }
 
-std::optional<std::string> KvStore::get(const std::string& key, SimTime now) {
+std::optional<i64> KvStore::get(KvKey key, SimTime now) {
   auto it = map_.find(key);
   if (it == map_.end()) {
     metrics().get_misses.inc();
@@ -57,64 +47,21 @@ std::optional<std::string> KvStore::get(const std::string& key, SimTime now) {
   return it->second.value;
 }
 
-i64 KvStore::incr(const std::string& key, SimTime now, i64 delta,
-                  SimTime ttl) {
+i64 KvStore::incr(KvKey key, SimTime now, i64 delta, SimTime ttl) {
   metrics().incrs.inc();
-  auto it = map_.find(key);
-  i64 current = 0;
-  SimTime expiry = SimTime::zero();
-  bool expires = false;
-  if (it != map_.end() && !expired(it->second, now)) {
-    const std::string& v = it->second.value;
-    std::from_chars(v.data(), v.data() + v.size(), current);
-    expiry = it->second.expiry;
-    expires = it->second.expires;
-  }
-  if (ttl > SimTime::zero()) {
-    expires = true;
-    expiry = now + ttl;
-  }
-  current += delta;
-  Entry e;
-  e.value = std::to_string(current);
-  e.expiry = expiry;
-  e.expires = expires;
-  map_[key] = std::move(e);
-  return current;
+  Entry& e = map_[key];
+  if (expired(e, now)) e = Entry{};
+  if (ttl > SimTime::zero()) e.expiry = now + ttl;
+  return e.value += delta;
 }
 
-bool KvStore::erase(const std::string& key) { return map_.erase(key) > 0; }
-
-std::optional<SimTime> KvStore::ttl_remaining(const std::string& key,
-                                              SimTime now) {
-  auto it = map_.find(key);
-  if (it == map_.end() || expired(it->second, now) || !it->second.expires) {
-    return std::nullopt;
-  }
-  return it->second.expiry - now;
-}
+bool KvStore::erase(KvKey key) { return map_.erase(key) > 0; }
 
 std::size_t KvStore::size(SimTime now) {
   for (auto it = map_.begin(); it != map_.end();) {
     it = expired(it->second, now) ? map_.erase(it) : std::next(it);
   }
   return map_.size();
-}
-
-std::vector<std::pair<std::string, std::string>> KvStore::items(SimTime now) {
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(map_.size());
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (expired(it->second, now)) {
-      metrics().expired_reaped.inc();
-      it = map_.erase(it);
-    } else {
-      out.emplace_back(it->first, it->second.value);
-      ++it;
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace ys::intang

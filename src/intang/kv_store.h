@@ -1,103 +1,82 @@
 // In-memory key-value store with per-key TTL expiry — the reproduction's
 // stand-in for the Redis instance INTANG uses to persist per-server
 // strategy measurements (§6). Same semantics the tool relies on: get/set,
-// key expiration, and atomic counters.
+// key expiration, and atomic counters. Keys are packed integers and values
+// are integers: the selector's records are all counters or strategy ids.
 #pragma once
 
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "core/clock.h"
 #include "core/types.h"
 
 namespace ys::intang {
 
+using KvKey = u64;
+
 class KvStore {
  public:
   /// Set (or overwrite) a key. ttl of zero means "no expiry".
-  void set(const std::string& key, std::string value, SimTime now,
-           SimTime ttl = SimTime::zero());
+  void set(KvKey key, i64 value, SimTime now, SimTime ttl = SimTime::zero());
 
   /// Get a live value; expired keys read as absent (and are reaped).
-  std::optional<std::string> get(const std::string& key, SimTime now);
+  std::optional<i64> get(KvKey key, SimTime now);
 
-  /// Atomic increment of an integer value (absent/expired counts as 0);
-  /// returns the new value. With ttl zero the key's remaining TTL is
-  /// preserved; a positive ttl refreshes the expiry to now + ttl (the
-  /// INCR+EXPIRE idiom the selector's decaying health counters use).
-  i64 incr(const std::string& key, SimTime now, i64 delta = 1,
+  /// Atomic increment (absent/expired counts as 0); returns the new value.
+  /// With ttl zero the key's remaining TTL is preserved; a positive ttl
+  /// refreshes the expiry to now + ttl (the INCR+EXPIRE idiom the
+  /// selector's decaying health counters use).
+  i64 incr(KvKey key, SimTime now, i64 delta = 1,
            SimTime ttl = SimTime::zero());
 
-  bool erase(const std::string& key);
-
-  /// Remaining TTL, if the key exists and has one.
-  std::optional<SimTime> ttl_remaining(const std::string& key, SimTime now);
+  bool erase(KvKey key);
 
   /// Number of live keys (sweeps expired entries).
   std::size_t size(SimTime now);
 
-  /// All live (key, value) pairs, sorted by key — a deterministic snapshot
-  /// regardless of hash-map iteration order, so fleet convergence goldens
-  /// and store digests are stable across platforms. Sweeps expired entries.
-  std::vector<std::pair<std::string, std::string>> items(SimTime now);
-
  private:
   struct Entry {
-    std::string value;
+    i64 value = 0;
     SimTime expiry = SimTime::zero();  // zero = never
-    bool expires = false;
   };
 
-  bool expired(const Entry& e, SimTime now) const {
-    return e.expires && now >= e.expiry;
+  static bool expired(const Entry& e, SimTime now) {
+    return e.expiry > SimTime::zero() && now >= e.expiry;
   }
 
-  std::unordered_map<std::string, Entry> map_;
+  std::unordered_map<KvKey, Entry> map_;
 };
 
 /// Mutex-guarded KvStore: one instance is the per-vantage shared strategy
 /// cache of a simulated INTANG deployment (§6's Redis stands behind every
-/// client on the box). Same API, every call atomic; snapshot() gives the
-/// sorted snapshot-consistent view the fleet convergence report reads. In
-/// the deterministic runner each vantage chain runs on one worker, so the
-/// lock is uncontended there — it exists so stress tests and future
-/// cross-vantage topologies can share a store across threads safely.
+/// client on the box). Same API, every call atomic. In the deterministic
+/// runner each vantage chain runs on one worker, so the lock is
+/// uncontended there — it exists so stress tests and future cross-vantage
+/// topologies can share a store across threads safely.
 class SharedKvStore {
  public:
-  void set(const std::string& key, std::string value, SimTime now,
-           SimTime ttl = SimTime::zero()) {
+  void set(KvKey key, i64 value, SimTime now, SimTime ttl = SimTime::zero()) {
     std::lock_guard<std::mutex> lock(mu_);
-    store_.set(key, std::move(value), now, ttl);
+    store_.set(key, value, now, ttl);
   }
-  std::optional<std::string> get(const std::string& key, SimTime now) {
+  std::optional<i64> get(KvKey key, SimTime now) {
     std::lock_guard<std::mutex> lock(mu_);
     return store_.get(key, now);
   }
-  i64 incr(const std::string& key, SimTime now, i64 delta = 1,
+  i64 incr(KvKey key, SimTime now, i64 delta = 1,
            SimTime ttl = SimTime::zero()) {
     std::lock_guard<std::mutex> lock(mu_);
     return store_.incr(key, now, delta, ttl);
   }
-  bool erase(const std::string& key) {
+  bool erase(KvKey key) {
     std::lock_guard<std::mutex> lock(mu_);
     return store_.erase(key);
-  }
-  std::optional<SimTime> ttl_remaining(const std::string& key, SimTime now) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return store_.ttl_remaining(key, now);
   }
   std::size_t size(SimTime now) {
     std::lock_guard<std::mutex> lock(mu_);
     return store_.size(now);
-  }
-  /// Sorted, snapshot-consistent view of every live entry.
-  std::vector<std::pair<std::string, std::string>> snapshot(SimTime now) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return store_.items(now);
   }
 
  private:

@@ -1,7 +1,5 @@
 #include "intang/selector.h"
 
-#include <charconv>
-
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -9,7 +7,28 @@ namespace ys::intang {
 
 namespace {
 
-std::string ip_key(net::IpAddr server) { return net::ip_to_string(server); }
+// The record kinds INTANG keeps per server, or per (server, strategy).
+enum class Record : u8 {
+  kGood,  ///< server → known-good StrategyId
+  kOk,    ///< (server, strategy) → success tally
+  kBad,   ///< (server, strategy) → failure tally
+  kFail,  ///< server → consecutive-failure count
+  kCool,  ///< (server, strategy) → 1 while cooling off after a failure
+};
+
+// Packs {kind, server, strategy} into one key: kind in bits 48-55, the IPv4
+// server in bits 16-47, the strategy id in bits 0-15.
+constexpr KvKey key(Record kind, net::IpAddr server,
+                    strategy::StrategyId id = strategy::StrategyId::kNone) {
+  return static_cast<KvKey>(kind) << 48 | static_cast<KvKey>(server) << 16 |
+         static_cast<KvKey>(id);
+}
+// Ids run from kNone to the last enumerator, kTeardownReversal; keep this
+// on whichever enumerator is last.
+static_assert(static_cast<int>(strategy::StrategyId::kNone) == 0 &&
+                  static_cast<int>(strategy::StrategyId::kTeardownReversal) <
+                      (1 << 16),
+              "every StrategyId must fit the key's 16-bit id field");
 
 struct SelectorMetrics {
   obs::Counter& picks;
@@ -40,50 +59,27 @@ SelectorMetrics& metrics() {
 
 }  // namespace
 
-std::string StrategySelector::good_key(net::IpAddr server) const {
-  return "good:" + ip_key(server);
-}
-
-std::string StrategySelector::tally_key(net::IpAddr server,
-                                        strategy::StrategyId id,
-                                        bool success) const {
-  return std::string(success ? "ok:" : "bad:") + ip_key(server) + ":" +
-         std::to_string(static_cast<int>(id));
-}
-
-std::string StrategySelector::fail_key(net::IpAddr server) const {
-  return "fail:" + ip_key(server);
-}
-
-std::string StrategySelector::cool_key(net::IpAddr server,
-                                       strategy::StrategyId id) const {
-  return "cool:" + ip_key(server) + ":" + std::to_string(static_cast<int>(id));
-}
-
-std::optional<std::string> StrategySelector::kv_get(const std::string& key,
-                                                    SimTime now) {
+std::optional<i64> StrategySelector::kv_get(KvKey key, SimTime now) {
   return backing_ != nullptr ? backing_->get(key, now) : store_.get(key, now);
 }
 
-void StrategySelector::kv_set(const std::string& key, std::string value,
-                              SimTime now, SimTime ttl) {
+void StrategySelector::kv_set(KvKey key, i64 value, SimTime now, SimTime ttl) {
   if (backing_ != nullptr) {
-    backing_->set(key, std::move(value), now, ttl);
+    backing_->set(key, value, now, ttl);
   } else {
-    store_.set(key, std::move(value), now, ttl);
+    store_.set(key, value, now, ttl);
   }
 }
 
-void StrategySelector::kv_incr(const std::string& key, SimTime now, i64 delta,
-                               SimTime ttl) {
+void StrategySelector::kv_incr(KvKey key, SimTime now, SimTime ttl) {
   if (backing_ != nullptr) {
-    backing_->incr(key, now, delta, ttl);
+    backing_->incr(key, now, 1, ttl);
   } else {
-    store_.incr(key, now, delta, ttl);
+    store_.incr(key, now, 1, ttl);
   }
 }
 
-void StrategySelector::kv_erase(const std::string& key) {
+void StrategySelector::kv_erase(KvKey key) {
   if (backing_ != nullptr) {
     backing_->erase(key);
   } else {
@@ -94,15 +90,11 @@ void StrategySelector::kv_erase(const std::string& key) {
 bool StrategySelector::cooling(net::IpAddr server, strategy::StrategyId id,
                                SimTime now) {
   return cfg_.failure_backoff > SimTime::zero() &&
-         kv_get(cool_key(server, id), now).has_value();
+         kv_get(key(Record::kCool, server, id), now).has_value();
 }
 
 i64 StrategySelector::consecutive_failures(net::IpAddr server, SimTime now) {
-  i64 n = 0;
-  if (auto v = kv_get(fail_key(server), now)) {
-    std::from_chars(v->data(), v->data() + v->size(), n);
-  }
-  return n;
+  return kv_get(key(Record::kFail, server), now).value_or(0);
 }
 
 StrategySelector::Choice StrategySelector::choose_explained(net::IpAddr server,
@@ -129,10 +121,8 @@ StrategySelector::Choice StrategySelector::choose_explained(net::IpAddr server,
     skipped_cooling = true;
   }
   // Store path: a persisted known-good record.
-  if (auto good = kv_get(good_key(server), now)) {
-    int id = 0;
-    std::from_chars(good->data(), good->data() + good->size(), id);
-    const auto sid = static_cast<strategy::StrategyId>(id);
+  if (auto good = kv_get(key(Record::kGood, server), now)) {
+    const auto sid = static_cast<strategy::StrategyId>(*good);
     if (!cooling(server, sid, now)) {
       metrics().store_hits.inc();
       cache_.put(server, sid);
@@ -199,33 +189,30 @@ void StrategySelector::report(net::IpAddr server, strategy::StrategyId id,
     // path works (strategies are not needed), a failure means the path is
     // censored and safe mode cannot help — re-arm the ladder, whose
     // cool-offs steer it away from the rungs that just failed.
-    kv_erase(fail_key(server));
+    kv_erase(key(Record::kFail, server));
     return;
   }
-  kv_incr(tally_key(server, id, success), now, 1, cfg_.tally_ttl);
+  kv_incr(key(success ? Record::kOk : Record::kBad, server, id), now,
+          cfg_.tally_ttl);
   if (success) {
-    kv_erase(fail_key(server));
-    kv_set(good_key(server), std::to_string(static_cast<int>(id)), now,
+    kv_erase(key(Record::kFail, server));
+    kv_set(key(Record::kGood, server), static_cast<i64>(id), now,
            cfg_.record_ttl);
     cache_.put(server, id);
   } else {
     // Consecutive-failure probation (TTL refreshes with each failure) and
     // a per-(server, strategy) cool-off for the failover ladder.
-    kv_incr(fail_key(server), now, 1, cfg_.safe_mode_ttl);
+    kv_incr(key(Record::kFail, server), now, cfg_.safe_mode_ttl);
     if (cfg_.failure_backoff > SimTime::zero()) {
-      kv_set(cool_key(server, id), "1", now, cfg_.failure_backoff);
+      kv_set(key(Record::kCool, server, id), 1, now, cfg_.failure_backoff);
     }
     // A failed known-good record must not keep winning the fast path —
     // but only the record for *this* strategy is invalidated.
     if (auto cached = cache_.get(server); cached && *cached == id) {
       cache_.erase(server);
     }
-    if (auto good = kv_get(good_key(server), now)) {
-      int gid = 0;
-      std::from_chars(good->data(), good->data() + good->size(), gid);
-      if (static_cast<strategy::StrategyId>(gid) == id) {
-        kv_erase(good_key(server));
-      }
+    if (kv_get(key(Record::kGood, server), now) == static_cast<i64>(id)) {
+      kv_erase(key(Record::kGood, server));
     }
   }
 }
@@ -233,15 +220,8 @@ void StrategySelector::report(net::IpAddr server, strategy::StrategyId id,
 std::pair<i64, i64> StrategySelector::tallies(net::IpAddr server,
                                               strategy::StrategyId id,
                                               SimTime now) {
-  i64 ok = 0;
-  i64 bad = 0;
-  if (auto v = kv_get(tally_key(server, id, true), now)) {
-    std::from_chars(v->data(), v->data() + v->size(), ok);
-  }
-  if (auto v = kv_get(tally_key(server, id, false), now)) {
-    std::from_chars(v->data(), v->data() + v->size(), bad);
-  }
-  return {ok, bad};
+  const i64 ok = kv_get(key(Record::kOk, server, id), now).value_or(0);
+  return {ok, kv_get(key(Record::kBad, server, id), now).value_or(0)};
 }
 
 }  // namespace ys::intang

@@ -4,7 +4,6 @@
 // an expiry so stale knowledge ages out as networks and servers change.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "intang/kv_store.h"
@@ -54,9 +53,6 @@ class StrategySelector {
   /// loses its process memory but keeps the persistent store).
   void forget_cache() { cache_.clear(); }
 
-  /// The shared store this selector consults, or nullptr when private.
-  SharedKvStore* backing() const { return backing_; }
-
   /// One pick with provenance: where the decision came from (§6's
   /// measurement-driven loop exposed for tracing and `yourstate explain`).
   struct Choice {
@@ -94,20 +90,14 @@ class StrategySelector {
   i64 consecutive_failures(net::IpAddr server, SimTime now);
 
  private:
-  std::string good_key(net::IpAddr server) const;
-  std::string tally_key(net::IpAddr server, strategy::StrategyId id,
-                        bool success) const;
-  std::string fail_key(net::IpAddr server) const;
-  std::string cool_key(net::IpAddr server, strategy::StrategyId id) const;
   bool cooling(net::IpAddr server, strategy::StrategyId id, SimTime now);
 
   // Every record access routes through these, hitting either the private
   // store_ or the shared backing_ — selection logic stays store-agnostic.
-  std::optional<std::string> kv_get(const std::string& key, SimTime now);
-  void kv_set(const std::string& key, std::string value, SimTime now,
-              SimTime ttl);
-  void kv_incr(const std::string& key, SimTime now, i64 delta, SimTime ttl);
-  void kv_erase(const std::string& key);
+  std::optional<i64> kv_get(KvKey key, SimTime now);
+  void kv_set(KvKey key, i64 value, SimTime now, SimTime ttl);
+  void kv_incr(KvKey key, SimTime now, SimTime ttl);
+  void kv_erase(KvKey key);
 
   Config cfg_;
   SharedKvStore* backing_ = nullptr;

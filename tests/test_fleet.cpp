@@ -386,26 +386,25 @@ TEST(Fleet, FleetRngLeavesFleetFreeRunsUntouched) {
 
 // ---------------------------------------------------------------- kvstore
 
-TEST(Fleet, SharedKvStoreSnapshotAndTtl) {
+TEST(Fleet, SharedKvStoreTtl) {
   intang::SharedKvStore store;
   const SimTime t0 = SimTime::from_sec(1);
-  store.set("a", "1", t0);
-  store.set("b", "2", t0, SimTime::from_sec(10));
-  store.set("c", "3", t0, SimTime::from_sec(1));
+  store.set(1, 1, t0);
+  store.set(2, 2, t0, SimTime::from_sec(10));
+  store.set(3, 3, t0, SimTime::from_sec(1));
   EXPECT_EQ(store.size(t0), 3u);
-  ASSERT_TRUE(store.ttl_remaining("b", t0).has_value());
-  EXPECT_EQ(store.ttl_remaining("b", t0)->us, SimTime::from_sec(10).us);
-  EXPECT_FALSE(store.ttl_remaining("a", t0).has_value());
 
   const SimTime later = SimTime::from_sec(5);
-  EXPECT_FALSE(store.get("c", later).has_value());  // expired
-  EXPECT_EQ(store.get("b", later).value_or(""), "2");
-  const auto snap = store.snapshot(later);
-  ASSERT_EQ(snap.size(), 2u);  // sorted, expired entries swept
-  EXPECT_EQ(snap[0].first, "a");
-  EXPECT_EQ(snap[1].first, "b");
-  EXPECT_EQ(store.incr("hits", later, 2), 2);
-  EXPECT_EQ(store.incr("hits", later, 3), 5);
+  EXPECT_FALSE(store.get(3, later).has_value());  // expired
+  EXPECT_EQ(store.get(2, later).value_or(0), 2);
+  EXPECT_EQ(store.get(1, later).value_or(0), 1);
+  EXPECT_EQ(store.size(later), 2u);  // expired entries swept
+  EXPECT_FALSE(store.get(2, SimTime::from_sec(11)).has_value());
+  EXPECT_TRUE(store.get(1, SimTime::from_sec(11)).has_value());
+  EXPECT_EQ(store.incr(4, later, 2), 2);
+  EXPECT_EQ(store.incr(4, later, 3), 5);
+  EXPECT_TRUE(store.erase(4));
+  EXPECT_FALSE(store.get(4, later).has_value());
 }
 
 }  // namespace

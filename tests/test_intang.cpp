@@ -15,51 +15,64 @@ namespace {
 TEST(KvStore, SetGetOverwrite) {
   KvStore store;
   const SimTime now = SimTime::zero();
-  EXPECT_FALSE(store.get("k", now).has_value());
-  store.set("k", "v1", now);
-  EXPECT_EQ(store.get("k", now).value(), "v1");
-  store.set("k", "v2", now);
-  EXPECT_EQ(store.get("k", now).value(), "v2");
-  EXPECT_TRUE(store.erase("k"));
-  EXPECT_FALSE(store.erase("k"));
+  EXPECT_FALSE(store.get(7, now).has_value());
+  store.set(7, 1, now);
+  EXPECT_EQ(store.get(7, now).value(), 1);
+  store.set(7, 2, now);
+  EXPECT_EQ(store.get(7, now).value(), 2);
+  EXPECT_FALSE(store.get(8, now).has_value());
+  EXPECT_TRUE(store.erase(7));
+  EXPECT_FALSE(store.erase(7));
 }
 
 TEST(KvStore, TtlExpiry) {
   KvStore store;
-  store.set("k", "v", SimTime::zero(), SimTime::from_sec(10));
-  EXPECT_TRUE(store.get("k", SimTime::from_sec(9)).has_value());
-  EXPECT_FALSE(store.get("k", SimTime::from_sec(10)).has_value());
+  store.set(7, 1, SimTime::zero(), SimTime::from_sec(10));
+  EXPECT_TRUE(store.get(7, SimTime::from_sec(9)).has_value());
+  EXPECT_FALSE(store.get(7, SimTime::from_sec(10)).has_value());
   // Expired entries are reaped on read.
   EXPECT_EQ(store.size(SimTime::from_sec(11)), 0u);
 }
 
 TEST(KvStore, TtlRemaining) {
+  // A key lives exactly its TTL; a key set without one never expires.
   KvStore store;
-  store.set("k", "v", SimTime::zero(), SimTime::from_sec(60));
-  auto remaining = store.ttl_remaining("k", SimTime::from_sec(20));
-  ASSERT_TRUE(remaining.has_value());
-  EXPECT_EQ(remaining->us, SimTime::from_sec(40).us);
-  store.set("nolimit", "v", SimTime::zero());
-  EXPECT_FALSE(store.ttl_remaining("nolimit", SimTime::zero()).has_value());
+  store.set(7, 1, SimTime::zero(), SimTime::from_sec(60));
+  store.set(8, 1, SimTime::zero());
+  EXPECT_TRUE(store.get(7, SimTime::from_sec(20)).has_value());
+  EXPECT_TRUE(store.get(7, SimTime::from_us(SimTime::from_sec(60).us - 1))
+                  .has_value());
+  EXPECT_FALSE(store.get(7, SimTime::from_sec(60)).has_value());
+  EXPECT_TRUE(store.get(8, SimTime::from_sec(1'000'000)).has_value());
 }
 
 TEST(KvStore, IncrCountsAndPreservesTtl) {
   KvStore store;
   const SimTime now = SimTime::zero();
-  EXPECT_EQ(store.incr("counter", now), 1);
-  EXPECT_EQ(store.incr("counter", now), 2);
-  EXPECT_EQ(store.incr("counter", now, 10), 12);
-  EXPECT_EQ(store.get("counter", now).value(), "12");
+  EXPECT_EQ(store.incr(7, now), 1);
+  EXPECT_EQ(store.incr(7, now), 2);
+  EXPECT_EQ(store.incr(7, now, 10), 12);
+  EXPECT_EQ(store.get(7, now).value(), 12);
 
-  store.set("timed", "5", now, SimTime::from_sec(30));
-  store.incr("timed", SimTime::from_sec(10));
-  EXPECT_FALSE(store.get("timed", SimTime::from_sec(31)).has_value());
+  store.set(8, 5, now, SimTime::from_sec(30));
+  EXPECT_EQ(store.incr(8, SimTime::from_sec(10)), 6);
+  EXPECT_FALSE(store.get(8, SimTime::from_sec(31)).has_value());
+}
+
+TEST(KvStore, IncrWithTtlRefreshesExpiry) {
+  KvStore store;
+  store.set(7, 5, SimTime::zero(), SimTime::from_sec(30));
+  EXPECT_EQ(store.incr(7, SimTime::from_sec(20), 1, SimTime::from_sec(30)), 6);
+  EXPECT_EQ(store.get(7, SimTime::from_sec(49)).value_or(0), 6);
+  EXPECT_FALSE(store.get(7, SimTime::from_sec(50)).has_value());
 }
 
 TEST(KvStore, IncrOnExpiredStartsFresh) {
   KvStore store;
-  store.set("c", "100", SimTime::zero(), SimTime::from_sec(1));
-  EXPECT_EQ(store.incr("c", SimTime::from_sec(2)), 1);
+  store.set(7, 100, SimTime::zero(), SimTime::from_sec(1));
+  EXPECT_EQ(store.incr(7, SimTime::from_sec(2)), 1);
+  // The fresh counter does not inherit the dead key's TTL.
+  EXPECT_TRUE(store.get(7, SimTime::from_sec(1'000)).has_value());
 }
 
 // --------------------------------------------------------------- LruCache
@@ -202,6 +215,65 @@ TEST(Selector, PerServerIsolation) {
   // The other server is still cold: exploration order.
   EXPECT_EQ(selector.choose(other, now),
             selector.config().candidates.front());
+}
+
+TEST(Selector, PackedKeysNeverAlias) {
+  // Records for one (server, strategy) pair must not leak into any other
+  // pair: the key packs kind, server and id into disjoint bit fields.
+  using strategy::StrategyId;
+  using Source = StrategySelector::Choice::Source;
+  const net::IpAddr servers[] = {
+      net::make_ip(0, 0, 0, 0), net::make_ip(255, 255, 255, 255),
+      net::make_ip(10, 0, 0, 1), net::make_ip(10, 0, 0, 2)};
+  const StrategyId first = StrategyId::kTcbCreationSynTtl;
+  const StrategyId last = StrategyId::kTeardownReversal;
+  const StrategyId ids[] = {StrategyId::kNone, first, last};
+  const SimTime now = SimTime::zero();
+  for (const net::IpAddr server : servers) {
+    for (const StrategyId id : {first, last}) {
+      for (const bool success : {true, false}) {
+        SCOPED_TRACE(net::ip_to_string(server) + " " + strategy::to_string(id) +
+                     (success ? " ok" : " bad"));
+        StrategySelector::Config cfg;
+        cfg.candidates = {first, last};
+        cfg.retry_budget = 1;
+        cfg.lru_capacity = 0;  // every read goes to the store
+        StrategySelector selector(cfg);
+        selector.report(server, id, success, now);
+        for (const net::IpAddr s : servers) {
+          for (const StrategyId other : ids) {
+            const auto [ok, bad] = selector.tallies(s, other, now);
+            const bool same = s == server && other == id;
+            EXPECT_EQ(ok, same && success ? 1 : 0);
+            EXPECT_EQ(bad, same && !success ? 1 : 0);
+          }
+          // Good and fail records stay per server.
+          EXPECT_EQ(selector.consecutive_failures(s, now),
+                    s == server && !success ? 1 : 0);
+          const StrategySelector::Choice pick = selector.choose_explained(s, now);
+          if (s != server) {
+            // Cold and nothing cooling: the first untried candidate.
+            EXPECT_EQ(pick.id, first);
+            EXPECT_EQ(pick.source, Source::kUntried);
+          } else if (success) {
+            EXPECT_EQ(pick.id, id);
+            EXPECT_EQ(pick.source, Source::kStoreHit);
+          } else {
+            EXPECT_EQ(pick.source, Source::kSafeMode);
+          }
+        }
+        if (!success) {
+          // Lift safe mode: only the failed pair cools off, so the ladder
+          // fails over to the other candidate.
+          selector.report(server, StrategyId::kNone, true, now);
+          const StrategySelector::Choice pick =
+              selector.choose_explained(server, now);
+          EXPECT_EQ(pick.id, id == first ? last : first);
+          EXPECT_EQ(pick.source, Source::kFailover);
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------- forwarder + intang
