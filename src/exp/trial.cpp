@@ -208,7 +208,7 @@ TrialResult run_http_trial(Scenario& scenario, const HttpTrialOptions& opt) {
 
   tcp::TcpEndpoint* conn = nullptr;
   tcp::TcpEndpoint::Callbacks cb;
-  cb.on_established = [&conn, request] {
+  cb.on_established = [&conn, &request] {
     if (conn != nullptr) conn->send_data(request);
   };
   conn = &scenario.client().connect(scenario.options().server.ip, 80,

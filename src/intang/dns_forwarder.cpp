@@ -23,7 +23,9 @@ void DnsForwarder::ensure_connection() {
   stream_.clear();
   parse_offset_ = 0;
   tcp::TcpEndpoint::Callbacks cb;
-  cb.on_data = [this](ByteView chunk) { on_resolver_data(chunk); };
+  cb.on_data = [this](tcp::TcpEndpoint&, ByteView chunk) {
+    on_resolver_data(chunk);
+  };
   conn_ = &client_.connect(cfg_.resolver, cfg_.resolver_port, /*src_port=*/0,
                            std::move(cb));
 }

@@ -18,7 +18,7 @@ void Host::attach() {
 }
 
 void Host::listen(u16 port, DataHandler on_data) {
-  listeners_[port] = Listener{std::move(on_data)};
+  listeners_[port] = std::move(on_data);
 }
 
 TcpEndpoint& Host::connect(net::IpAddr dst_ip, u16 dst_port, u16 src_port,
@@ -102,23 +102,15 @@ void Host::handle_tcp(const net::Packet& pkt) {
   auto lst = listeners_.find(pkt.tcp->dst_port);
   if (lst != listeners_.end()) {
     // Create a per-connection endpoint in LISTEN and replay the segment
-    // into it (SYN-cookie-free accept path). The data handler needs the
-    // endpoint reference, which only exists after construction, so it is
-    // late-bound through a shared holder.
-    auto holder = std::make_shared<TcpEndpoint*>(nullptr);
+    // into it (SYN-cookie-free accept path).
     TcpEndpoint::Callbacks cb;
     cb.send = [this](net::Packet out) { transmit(std::move(out)); };
-    if (DataHandler handler = lst->second.on_data) {
-      cb.on_data = [holder, handler](ByteView data) {
-        if (*holder != nullptr) handler(**holder, data);
-      };
-    }
+    cb.on_data = lst->second;
     auto ep = std::make_unique<TcpEndpoint>(loop_, rng_.fork(), cfg_.profile,
                                             local, std::move(cb));
     ep->set_trace(path_.trace(), cfg_.name,
                   cfg_.side == HostSide::kClient ? net::Dir::kS2C
                                                  : net::Dir::kC2S);
-    *holder = ep.get();
     TcpEndpoint* raw = ep.get();
     raw->open_passive();
     endpoints_[local] = std::move(ep);

@@ -34,9 +34,9 @@ class Host : private net::PacketTarget {
     bool suppress_kernel_resets = false;
   };
 
-  /// Per-connection application callbacks used by listeners. `on_data`
-  /// receives the endpoint so it can reply in place.
-  using DataHandler = std::function<void(TcpEndpoint&, ByteView)>;
+  /// Per-connection data handler used by listeners: every accepted
+  /// endpoint gets a copy as its `Callbacks::on_data`.
+  using DataHandler = TcpEndpoint::DataHandler;
   /// UDP datagram handler: (source tuple, payload); reply via send_udp.
   using UdpHandler = std::function<void(const net::FourTuple&, ByteView)>;
 
@@ -123,10 +123,6 @@ class Host : private net::PacketTarget {
   void handle_udp(const net::Packet& pkt);
   void transmit(net::Packet pkt);
 
-  struct Listener {
-    DataHandler on_data;
-  };
-
   Config cfg_;
   net::Path& path_;
   net::EventLoop& loop_;
@@ -136,7 +132,7 @@ class Host : private net::PacketTarget {
   std::unordered_map<net::FourTuple, std::unique_ptr<TcpEndpoint>,
                      net::FourTupleHash>
       endpoints_;
-  std::unordered_map<u16, Listener> listeners_;
+  std::unordered_map<u16, DataHandler> listeners_;
   std::unordered_map<u16, UdpHandler> udp_handlers_;
 
   PacketHook egress_hook_;

@@ -1,6 +1,7 @@
 #include "tcpstack/tcp_endpoint.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -11,18 +12,37 @@ namespace {
 constexpr i64 kInitialRtoMs = 200;
 constexpr int kMaxRetransmits = 6;
 constexpr u16 kWindowBytes = 65535;
+constexpr u16 kMss = 1460;  // announced in the SYN and used to segment
+
+constexpr std::size_t kIgnoreReasons =
+    static_cast<std::size_t>(IgnoreReason::kNotListening) + 1;
+constexpr std::size_t kVersions =
+    static_cast<std::size_t>(LinuxVersion::k4_4) + 1;
+
+/// Per-profile ignore counter names, indexed by LinuxVersion.
+constexpr std::array<const char*, kVersions> kIgnoredByProfile{
+    "tcpstack.ignored_by_profile.linux-2.4.37",
+    "tcpstack.ignored_by_profile.linux-2.6.34",
+    "tcpstack.ignored_by_profile.linux-3.14",
+    "tcpstack.ignored_by_profile.linux-4.0",
+    "tcpstack.ignored_by_profile.linux-4.4"};
 
 struct StackMetrics {
+  obs::MetricsRegistry& reg;
   obs::Counter& segments_in;
   obs::Counter& segments_out;
   obs::Counter& retransmits;
   obs::Counter& challenge_acks;
   obs::Counter& ignored_total;
+  // Registered on first hit, so a snapshot names only the paths that fired.
+  std::array<obs::Counter*, kIgnoreReasons> ignored_by_reason{};
+  std::array<obs::Counter*, kVersions> ignored_by_profile{};
 };
 
 StackMetrics& metrics() {
   return obs::bind_per_thread<StackMetrics>([](obs::MetricsRegistry& reg) {
-    return StackMetrics{reg.counter("tcpstack.segment_in"),
+    return StackMetrics{reg,
+                        reg.counter("tcpstack.segment_in"),
                         reg.counter("tcpstack.segment_out"),
                         reg.counter("tcpstack.segment_retransmit"),
                         reg.counter("tcpstack.challenge_ack_sent"),
@@ -32,18 +52,23 @@ StackMetrics& metrics() {
 
 /// Ignore-path hits split by reason and by Linux profile — the §5.3 view
 /// ("which discard paths does this stack exercise") as registry counters.
-/// Ignores are rare relative to segments, so the by-name lookup here is off
-/// the hot path.
+/// Insertion packets are meant to land here, so every evading flow passes
+/// through: each counter is resolved once per registry, not per segment.
 void count_ignore(IgnoreReason reason, LinuxVersion version) {
-  auto& reg = obs::MetricsRegistry::current();
-  metrics().ignored_total.inc();
-  reg.counter(std::string("tcpstack.ignored.") + to_string(reason)).inc();
-  std::string profile = to_string(version);  // "Linux 4.4" -> "linux-4.4"
-  for (char& c : profile) {
-    if (c == ' ') c = '-';
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  StackMetrics& m = metrics();
+  m.ignored_total.inc();
+  obs::Counter*& by_reason =
+      m.ignored_by_reason[static_cast<std::size_t>(reason)];
+  if (by_reason == nullptr) {
+    by_reason =
+        &m.reg.counter(std::string("tcpstack.ignored.") + to_string(reason));
   }
-  reg.counter("tcpstack.ignored_by_profile." + profile).inc();
+  by_reason->inc();
+  const auto v = static_cast<std::size_t>(version);
+  if (m.ignored_by_profile[v] == nullptr) {
+    m.ignored_by_profile[v] = &m.reg.counter(kIgnoredByProfile[v]);
+  }
+  m.ignored_by_profile[v]->inc();
 }
 
 }  // namespace
@@ -51,9 +76,7 @@ void count_ignore(IgnoreReason reason, LinuxVersion version) {
 TcpEndpoint::TcpEndpoint(net::EventLoop& loop, Rng rng, StackProfile profile,
                          net::FourTuple local, Callbacks callbacks)
     : loop_(loop), rng_(std::move(rng)), profile_(profile), local_(local),
-      cb_(std::move(callbacks)) {
-  rcv_wnd_ = kWindowBytes;
-}
+      cb_(std::move(callbacks)) {}
 
 void TcpEndpoint::set_state(TcpState next) {
   if (state_ == next) return;
@@ -90,7 +113,7 @@ void TcpEndpoint::open_active() {
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
   set_state(TcpState::kSynSent);
-  emit(make_segment(net::TcpFlags::only_syn(), iss_, 0));
+  send_and_queue(Unacked{.seq = iss_, .syn = true});
   schedule_retransmit();
 }
 
@@ -105,11 +128,8 @@ void TcpEndpoint::send_data(Bytes data) {
 }
 
 void TcpEndpoint::close() {
-  if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait) {
-    fin_queued_ = true;
-    return;
-  }
-  if (!pending_send_.empty()) {
+  if ((state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait) ||
+      !pending_send_.empty()) {
     fin_queued_ = true;
     return;
   }
@@ -118,18 +138,8 @@ void TcpEndpoint::close() {
   fin_sent_ = true;
   set_state(state_ == TcpState::kCloseWait ? TcpState::kLastAck
                                            : TcpState::kFinWait1);
-  retransmit_queue_.push_back(Unacked{fin_seq, {}, /*fin_after=*/true});
-  emit(make_segment(net::TcpFlags::fin_ack(), fin_seq, rcv_nxt_));
+  send_and_queue(Unacked{.seq = fin_seq, .fin = true});
   schedule_retransmit();
-}
-
-void TcpEndpoint::abort() {
-  if (state_ == TcpState::kEstablished || state_ == TcpState::kSynRecv ||
-      state_ == TcpState::kFinWait1 || state_ == TcpState::kFinWait2 ||
-      state_ == TcpState::kCloseWait) {
-    emit(make_segment(net::TcpFlags::only_rst(), snd_nxt_, 0));
-  }
-  set_state(TcpState::kClosed);
 }
 
 // --------------------------------------------------------------- emitters
@@ -138,14 +148,14 @@ net::Packet TcpEndpoint::make_segment(net::TcpFlags flags, u32 seq, u32 ack,
                                       Bytes payload) {
   net::Packet pkt =
       net::make_tcp_packet(local_, flags, seq, ack, std::move(payload));
-  pkt.tcp->window = rcv_wnd_;
-  if (profile_.use_timestamps && (flags.syn || ts_enabled_peer_)) {
+  pkt.tcp->window = kWindowBytes;
+  if (flags.syn || ts_enabled_peer_) {
     // A coarse 1 ms timestamp clock, offset per connection.
     const u32 ts_val = static_cast<u32>(loop_.now().millis()) + iss_ % 1000;
     pkt.tcp->options.timestamps = net::TcpTimestamps{ts_val, ts_recent_};
   }
   if (flags.syn) {
-    pkt.tcp->options.mss = profile_.mss;
+    pkt.tcp->options.mss = kMss;
   }
   return pkt;
 }
@@ -169,6 +179,19 @@ void TcpEndpoint::send_rst(u32 seq) {
   emit(make_segment(net::TcpFlags::only_rst(), seq, 0));
 }
 
+void TcpEndpoint::reset_by_peer() {
+  reset_seen_ = true;
+  // A handshake that ends here has no SYN left to resend.
+  if (state_ == TcpState::kSynSent || state_ == TcpState::kSynRecv) {
+    retransmit_queue_.clear();
+  }
+  set_state(TcpState::kClosed);
+}
+
+bool TcpEndpoint::in_window(u32 seq) const {
+  return seq_ge(seq, rcv_nxt_) && seq_lt(seq, rcv_nxt_ + kWindowBytes);
+}
+
 // ------------------------------------------------------------ validation
 
 bool TcpEndpoint::prevalidate(const net::Packet& pkt) {
@@ -182,12 +205,11 @@ bool TcpEndpoint::prevalidate(const net::Packet& pkt) {
     ignore(pkt, IgnoreReason::kShortTcpHeader);
     return false;
   }
-  if (profile_.validates_checksum && !net::transport_checksum_ok(pkt)) {
+  if (!net::transport_checksum_ok(pkt)) {
     ignore(pkt, IgnoreReason::kBadChecksum);
     return false;
   }
-  if (pkt.tcp->options.md5_signature && profile_.rejects_unsolicited_md5 &&
-      !profile_.md5_negotiated) {
+  if (pkt.tcp->options.md5_signature && profile_.rejects_unsolicited_md5) {
     ignore(pkt, IgnoreReason::kUnsolicitedMd5);
     return false;
   }
@@ -203,29 +225,17 @@ void TcpEndpoint::on_segment(const net::Packet& pkt) {
       if (pkt.tcp->flags.ack) {
         send_rst(pkt.tcp->ack);
       } else {
-        net::Packet rst = make_segment(net::TcpFlags::rst_ack(), 0,
-                                       pkt.tcp_seq_end());
-        emit(std::move(rst));
+        emit(make_segment(net::TcpFlags::rst_ack(), 0, pkt.tcp_seq_end()));
       }
     }
     return;
   }
   if (!prevalidate(pkt)) return;
 
-  switch (state_) {
-    case TcpState::kListen:
-      process_listen(pkt);
-      return;
-    case TcpState::kSynSent:
-      process_syn_sent(pkt);
-      return;
-    case TcpState::kSynRecv:
-      process_syn_recv(pkt);
-      return;
-    default:
-      process_synchronized(pkt);
-      return;
-  }
+  if (state_ == TcpState::kListen) process_listen(pkt);
+  else if (state_ == TcpState::kSynSent) process_syn_sent(pkt);
+  else if (state_ == TcpState::kSynRecv) process_syn_recv(pkt);
+  else process_synchronized(pkt);
 }
 
 // ---------------------------------------------------------------- LISTEN
@@ -248,12 +258,12 @@ void TcpEndpoint::process_listen(const net::Packet& pkt) {
     iss_ = rng_.next_u32();
     snd_una_ = iss_;
     snd_nxt_ = iss_ + 1;
-    if (profile_.use_timestamps && t.options.timestamps) {
+    if (t.options.timestamps) {
       ts_enabled_peer_ = true;
       ts_recent_ = t.options.timestamps->ts_val;
     }
     set_state(TcpState::kSynRecv);
-    emit(make_segment(net::TcpFlags::syn_ack(), iss_, rcv_nxt_));
+    send_and_queue(Unacked{.seq = iss_, .syn = true});
     schedule_retransmit();
     return;
   }
@@ -268,9 +278,7 @@ void TcpEndpoint::process_syn_sent(const net::Packet& pkt) {
   if (t.flags.rst) {
     // RFC 793: a RST in SYN_SENT is acceptable only if it acks our SYN.
     if (t.flags.ack && t.ack == snd_nxt_) {
-      reset_seen_ = true;
-      set_state(TcpState::kClosed);
-      if (cb_.on_reset) cb_.on_reset();
+      reset_by_peer();
     } else {
       ignore(pkt, IgnoreReason::kBadAckNumber, "RST in SYN_SENT w/ bad ack");
     }
@@ -287,7 +295,7 @@ void TcpEndpoint::process_syn_sent(const net::Packet& pkt) {
     irs_ = t.seq;
     rcv_nxt_ = t.seq + 1;
     snd_una_ = t.ack;
-    if (profile_.use_timestamps && t.options.timestamps) {
+    if (t.options.timestamps) {
       ts_enabled_peer_ = true;
       ts_recent_ = t.options.timestamps->ts_val;
     }
@@ -301,16 +309,16 @@ void TcpEndpoint::process_syn_sent(const net::Packet& pkt) {
     send_ack();
     if (cb_.on_established) cb_.on_established();
     transmit_queued();
-    if (fin_queued_ && pending_send_.empty()) close();
     return;
   }
 
   if (t.flags.syn) {
-    // Simultaneous open.
+    // Simultaneous open: the queued SYN now goes out as a SYN/ACK, here
+    // and on the SYN's running timer.
     irs_ = t.seq;
     rcv_nxt_ = t.seq + 1;
     set_state(TcpState::kSynRecv);
-    emit(make_segment(net::TcpFlags::syn_ack(), iss_, rcv_nxt_));
+    emit_queued(retransmit_queue_.front());
     return;
   }
 
@@ -322,39 +330,18 @@ void TcpEndpoint::process_syn_sent(const net::Packet& pkt) {
 void TcpEndpoint::process_syn_recv(const net::Packet& pkt) {
   const net::TcpHeader& t = *pkt.tcp;
 
-  if (t.flags.rst) {
-    // Table 3: a RST/ACK with a wrong acknowledgment number is ignored in
-    // SYN_RECV — the GFW, in contrast, accepts it.
-    if (t.flags.ack && t.ack != snd_nxt_) {
-      ignore(pkt, IgnoreReason::kBadAckNumber, "RST/ACK w/ bad ack in SYN_RECV");
-      return;
-    }
-    if (t.seq == rcv_nxt_) {
-      reset_seen_ = true;
-      set_state(TcpState::kClosed);
-      if (cb_.on_reset) cb_.on_reset();
-      return;
-    }
-    const bool in_window =
-        seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + rcv_wnd_);
-    if (!in_window) {
-      ignore(pkt, IgnoreReason::kOutOfWindowRst);
-      return;
-    }
-    if (profile_.rfc5961_challenge_acks) {
-      send_challenge_ack();
-      ignore(pkt, IgnoreReason::kChallengeAckRst);
-      return;
-    }
-    reset_seen_ = true;
-    set_state(TcpState::kClosed);
-    if (cb_.on_reset) cb_.on_reset();
+  // Table 3: a RST/ACK with a wrong acknowledgment number is ignored in
+  // SYN_RECV — the GFW, in contrast, accepts it. Any other RST meets the
+  // synchronized-state rule.
+  if (t.flags.rst && t.flags.ack && t.ack != snd_nxt_) {
+    ignore(pkt, IgnoreReason::kBadAckNumber, "RST/ACK w/ bad ack in SYN_RECV");
     return;
   }
+  if (handle_rst(pkt)) return;
 
   if (t.flags.syn && !t.flags.ack) {
     // Duplicate SYN: retransmit our SYN/ACK.
-    emit(make_segment(net::TcpFlags::syn_ack(), iss_, rcv_nxt_));
+    emit_queued(retransmit_queue_.front());
     return;
   }
 
@@ -376,7 +363,6 @@ void TcpEndpoint::process_syn_recv(const net::Packet& pkt) {
   transmit_queued();
   // The completing ACK may itself carry data or FIN.
   if (!pkt.payload.empty() || t.flags.fin) process_synchronized(pkt);
-  if (fin_queued_ && pending_send_.empty()) close();
 }
 
 // --------------------------------------------------- synchronized states
@@ -386,7 +372,7 @@ bool TcpEndpoint::paws_reject(const net::Packet& pkt) {
   // — the paper leans on this: an old-timestamp *RST* still resets, so old
   // timestamps are only safe for data insertion packets.
   const net::TcpHeader& t = *pkt.tcp;
-  if (!profile_.paws || !ts_enabled_peer_ || t.flags.rst) return false;
+  if (!ts_enabled_peer_ || t.flags.rst) return false;
   if (!t.options.timestamps) return false;
   if (seq_lt(t.options.timestamps->ts_val, ts_recent_)) {
     send_ack();  // Linux acks PAWS-rejected segments
@@ -402,26 +388,15 @@ bool TcpEndpoint::handle_rst(const net::Packet& pkt) {
   // Note: in synchronized states Linux does NOT require a valid ACK field
   // on RSTs — §5.3: "even if the RST/ACK has a wrong ACK number or old
   // timestamp, it will still be able to reset the connection".
-  if (t.seq == rcv_nxt_) {
-    reset_seen_ = true;
-    set_state(TcpState::kClosed);
-    if (cb_.on_reset) cb_.on_reset();
-    return true;
-  }
-  const bool in_window =
-      seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + rcv_wnd_);
-  if (!in_window) {
+  if (!in_window(t.seq)) {
     ignore(pkt, IgnoreReason::kOutOfWindowRst);
-    return true;
-  }
-  if (profile_.rfc5961_challenge_acks) {
+  } else if (t.seq != rcv_nxt_ && profile_.rfc5961_challenge_acks) {
+    // RFC 5961 §3: only an exact-sequence RST resets; others are challenged.
     send_challenge_ack();
     ignore(pkt, IgnoreReason::kChallengeAckRst);
-    return true;
+  } else {
+    reset_by_peer();
   }
-  reset_seen_ = true;
-  set_state(TcpState::kClosed);
-  if (cb_.on_reset) cb_.on_reset();
   return true;
 }
 
@@ -440,13 +415,9 @@ bool TcpEndpoint::handle_syn_in_sync_state(const net::Packet& pkt) {
     return true;
   }
   // Pre-5961 stack: an in-window SYN aborts the connection.
-  const bool in_window =
-      seq_ge(t.seq, rcv_nxt_) && seq_lt(t.seq, rcv_nxt_ + rcv_wnd_);
-  if (in_window) {
+  if (in_window(t.seq)) {
     send_rst(snd_nxt_);
-    reset_seen_ = true;
-    set_state(TcpState::kClosed);
-    if (cb_.on_reset) cb_.on_reset();
+    reset_by_peer();
   } else {
     send_ack();
     ignore(pkt, IgnoreReason::kOutOfWindowSynOld);
@@ -460,21 +431,15 @@ void TcpEndpoint::process_ack_field(const net::Packet& pkt) {
   if (seq_gt(t.ack, snd_nxt_)) return;  // handled by caller as bad ack
   if (seq_gt(t.ack, snd_una_)) {
     snd_una_ = t.ack;
-    while (!retransmit_queue_.empty()) {
-      const Unacked& front = retransmit_queue_.front();
-      const u32 end = front.seq + static_cast<u32>(front.data.size()) +
-                      (front.fin_after ? 1 : 0);
-      if (seq_le(end, snd_una_)) {
-        retransmit_queue_.pop_front();
-      } else {
-        break;
-      }
+    while (!retransmit_queue_.empty() &&
+           seq_le(retransmit_queue_.front().end(), snd_una_)) {
+      retransmit_queue_.pop_front();
     }
     retransmit_attempts_ = 0;
     // Our FIN being acked drives the closing transitions.
     if (fin_sent_ && snd_una_ == snd_nxt_) {
       if (state_ == TcpState::kFinWait1) set_state(TcpState::kFinWait2);
-      else if (state_ == TcpState::kClosing) enter_time_wait();
+      else if (state_ == TcpState::kClosing) set_state(TcpState::kTimeWait);
       else if (state_ == TcpState::kLastAck) set_state(TcpState::kClosed);
     }
   }
@@ -492,7 +457,7 @@ void TcpEndpoint::accept_payload(const net::Packet& pkt) {
     ignore(pkt, IgnoreReason::kDuplicateData);
     return;
   }
-  if (seq_ge(seg_seq, rcv_nxt_ + rcv_wnd_)) {
+  if (seq_ge(seg_seq, rcv_nxt_ + kWindowBytes)) {
     // Entirely beyond the window: duplicate ACK, state unchanged — the
     // canonical "ignored possibly with an ACK in response" path of §5.3.
     send_ack();
@@ -504,7 +469,7 @@ void TcpEndpoint::accept_payload(const net::Packet& pkt) {
   // the profile's overlap policy (Linux keeps the first copy) and take the
   // bytes now contiguous from rcv_nxt.
   const ByteView delivered = reassembler_.push(
-      rcv_nxt_, seg_seq, pkt.payload, rcv_wnd_, profile_.segment_overlap);
+      rcv_nxt_, seg_seq, pkt.payload, kWindowBytes, profile_.segment_overlap);
   if (!delivered.empty()) {
     received_stream_.insert(received_stream_.end(), delivered.begin(),
                             delivered.end());
@@ -512,7 +477,7 @@ void TcpEndpoint::accept_payload(const net::Packet& pkt) {
         seq_ge(t.options.timestamps->ts_val, ts_recent_)) {
       ts_recent_ = t.options.timestamps->ts_val;
     }
-    if (cb_.on_data) cb_.on_data(delivered);
+    if (cb_.on_data) cb_.on_data(*this, delivered);
   }
   send_ack();
 }
@@ -550,51 +515,52 @@ void TcpEndpoint::process_synchronized(const net::Packet& pkt) {
     if (fin_pos == rcv_nxt_) {
       ++rcv_nxt_;
       send_ack();
-      switch (state_) {
-        case TcpState::kEstablished:
-          set_state(TcpState::kCloseWait);
-          if (cb_.on_peer_close) cb_.on_peer_close();
-          break;
-        case TcpState::kFinWait1:
-          if (fin_sent_ && snd_una_ == snd_nxt_) enter_time_wait();
-          else set_state(TcpState::kClosing);
-          break;
-        case TcpState::kFinWait2:
-          enter_time_wait();
-          break;
-        default:
-          break;
+      // TIME_WAIT is parked: 2*MSL teardown is irrelevant to the experiments.
+      if (state_ == TcpState::kEstablished) {
+        set_state(TcpState::kCloseWait);
+      } else if (state_ == TcpState::kFinWait1) {
+        set_state(fin_sent_ && snd_una_ == snd_nxt_ ? TcpState::kTimeWait
+                                                    : TcpState::kClosing);
+      } else if (state_ == TcpState::kFinWait2) {
+        set_state(TcpState::kTimeWait);
       }
     }
     // An out-of-order FIN just waits in the reassembly gap.
   }
 }
 
-void TcpEndpoint::enter_time_wait() {
-  set_state(TcpState::kTimeWait);
-  // 2*MSL teardown is irrelevant to the experiments; park the state.
+// ------------------------------------------------------------ transmission
+
+void TcpEndpoint::emit_queued(const Unacked& seg) {
+  net::TcpFlags flags = net::TcpFlags::psh_ack();
+  if (seg.syn) {
+    flags = state_ == TcpState::kSynRecv ? net::TcpFlags::syn_ack()
+                                         : net::TcpFlags::only_syn();
+  } else if (seg.fin) {
+    flags = net::TcpFlags::fin_ack();
+  }
+  emit(make_segment(flags, seg.seq, flags.ack ? rcv_nxt_ : 0, seg.data));
 }
 
-// ------------------------------------------------------------ transmission
+void TcpEndpoint::send_and_queue(Unacked seg) {
+  retransmit_queue_.push_back(std::move(seg));
+  emit_queued(retransmit_queue_.back());
+}
 
 void TcpEndpoint::transmit_queued() {
   if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait) {
     return;
   }
-  bool sent = false;
+  const bool sent = !pending_send_.empty();
   while (!pending_send_.empty()) {
-    const std::size_t len =
-        std::min<std::size_t>(pending_send_.size(), profile_.mss);
-    Bytes chunk(pending_send_.begin(),
-                pending_send_.begin() + static_cast<long>(len));
-    pending_send_.erase(pending_send_.begin(),
-                        pending_send_.begin() + static_cast<long>(len));
-    const u32 seq = snd_nxt_;
-    snd_nxt_ += static_cast<u32>(len);
-    retransmit_queue_.push_back(Unacked{seq, chunk, false});
-    net::TcpFlags flags = net::TcpFlags::psh_ack();
-    emit(make_segment(flags, seq, rcv_nxt_, std::move(chunk)));
-    sent = true;
+    const auto chunk_end =
+        pending_send_.begin() +
+        static_cast<long>(std::min<std::size_t>(pending_send_.size(), kMss));
+    Unacked seg{.seq = snd_nxt_,
+                .data = Bytes(pending_send_.begin(), chunk_end)};
+    pending_send_.erase(pending_send_.begin(), chunk_end);
+    snd_nxt_ += static_cast<u32>(seg.data.size());
+    send_and_queue(std::move(seg));
   }
   if (sent) schedule_retransmit();
   if (fin_queued_ && pending_send_.empty()) {
@@ -613,33 +579,10 @@ void TcpEndpoint::schedule_retransmit() {
 void TcpEndpoint::on_retransmit_timer(u64 epoch) {
   if (epoch != retransmit_epoch_) return;  // superseded or cancelled
   if (retransmit_attempts_ >= kMaxRetransmits) return;
-
-  if (state_ == TcpState::kSynSent) {
-    ++retransmit_attempts_;
-    metrics().retransmits.inc();
-    emit(make_segment(net::TcpFlags::only_syn(), iss_, 0));
-    schedule_retransmit();
-    return;
-  }
-  if (state_ == TcpState::kSynRecv) {
-    ++retransmit_attempts_;
-    metrics().retransmits.inc();
-    emit(make_segment(net::TcpFlags::syn_ack(), iss_, rcv_nxt_));
-    schedule_retransmit();
-    return;
-  }
   if (retransmit_queue_.empty()) return;
-
   ++retransmit_attempts_;
   metrics().retransmits.inc(retransmit_queue_.size());
-  for (const Unacked& seg : retransmit_queue_) {
-    if (seg.fin_after) {
-      emit(make_segment(net::TcpFlags::fin_ack(), seg.seq, rcv_nxt_));
-    } else {
-      emit(make_segment(net::TcpFlags::psh_ack(), seg.seq, rcv_nxt_,
-                        seg.data));
-    }
-  }
+  for (const Unacked& seg : retransmit_queue_) emit_queued(seg);
   schedule_retransmit();
 }
 

@@ -28,17 +28,16 @@ namespace ys::tcp {
 /// (RFC 5961 challenge ACKs, PAWS, RFC 2385 option rejection).
 class TcpEndpoint {
  public:
+  /// In-order application data delivery; the endpoint is passed so the
+  /// application can reply in place.
+  using DataHandler = std::function<void(TcpEndpoint&, ByteView)>;
+
   struct Callbacks {
     /// Emit a finalized-on-send packet to the wire.
     std::function<void(net::Packet)> send;
-    /// In-order application data delivery.
-    std::function<void(ByteView)> on_data;
+    DataHandler on_data;
     /// Connection reached ESTABLISHED.
     std::function<void()> on_established;
-    /// Connection was reset by a (real or forged) RST.
-    std::function<void()> on_reset;
-    /// Peer closed cleanly (FIN processed).
-    std::function<void()> on_peer_close;
   };
 
   /// `local` is the endpoint's view: src = local address, dst = remote.
@@ -58,9 +57,6 @@ class TcpEndpoint {
 
   /// Orderly close (FIN).
   void close();
-
-  /// Hard reset: send RST and go CLOSED.
-  void abort();
 
   /// Process one incoming segment addressed to this endpoint.
   void on_segment(const net::Packet& pkt);
@@ -96,6 +92,20 @@ class TcpEndpoint {
   const Bytes& received_stream() const { return received_stream_; }
 
  private:
+  // An entry of the retransmission queue: the SYN, a data segment or the
+  // FIN. A SYN entry goes out as a SYN in SYN_SENT and as a SYN/ACK in
+  // SYN_RECV.
+  struct Unacked {
+    u32 seq;
+    Bytes data{};
+    bool syn = false;
+    bool fin = false;
+    /// One past the last sequence number the entry occupies.
+    u32 end() const {
+      return seq + static_cast<u32>(data.size()) + (syn || fin ? 1 : 0);
+    }
+  };
+
   void set_state(TcpState next);
   void ignore(const net::Packet& pkt, IgnoreReason reason,
               const char* note = nullptr);
@@ -107,6 +117,8 @@ class TcpEndpoint {
   void send_ack();
   void send_challenge_ack();
   void send_rst(u32 seq);
+  void reset_by_peer();
+  bool in_window(u32 seq) const;
 
   // Segment-processing stages.
   bool prevalidate(const net::Packet& pkt);
@@ -120,9 +132,10 @@ class TcpEndpoint {
   bool paws_reject(const net::Packet& pkt);
   void accept_payload(const net::Packet& pkt);
   void process_ack_field(const net::Packet& pkt);
-  void enter_time_wait();
 
   // Transmission machinery.
+  void emit_queued(const Unacked& seg);
+  void send_and_queue(Unacked seg);
   void transmit_queued();
   void schedule_retransmit();
   void on_retransmit_timer(u64 epoch);
@@ -139,7 +152,6 @@ class TcpEndpoint {
   u32 snd_una_ = 0;   // oldest unacknowledged
   u32 snd_nxt_ = 0;   // next to send
   u32 rcv_nxt_ = 0;   // next expected
-  u16 rcv_wnd_ = 65535;
   bool fin_queued_ = false;
   bool fin_sent_ = false;
   bool reset_seen_ = false;
@@ -152,12 +164,7 @@ class TcpEndpoint {
   // profile_.segment_overlap.
   net::SegmentReassembler reassembler_;
 
-  // Untransmitted/unacked send buffer keyed by starting seq.
-  struct Unacked {
-    u32 seq;
-    Bytes data;
-    bool fin_after = false;
-  };
+  // Sent but not yet acknowledged, oldest first.
   std::deque<Unacked> retransmit_queue_;
   Bytes pending_send_;  // not yet segmented
   u64 retransmit_epoch_ = 0;

@@ -53,7 +53,8 @@ enum class IgnoreReason {
   kOutOfWindowRst,     // RST outside window
   kOutOfWindowSynOld,  // pre-5961 stack: out-of-window SYN acked + dropped
   kBadStateForSegment, // e.g. plain ACK arriving in LISTEN
-  kNotListening,       // no matching endpoint on the host
+  kNotListening,       // no matching endpoint on the host (keep last: it
+                       // sizes the endpoint's per-reason counter cache)
 };
 
 const char* to_string(IgnoreReason r);
@@ -72,19 +73,18 @@ enum class LinuxVersion {
   k2_6_34,
   k3_14,
   k4_0,
-  k4_4,
+  k4_4,  // keep last, and the order: tcp_endpoint.cpp's counter names follow it
 };
 
 const char* to_string(LinuxVersion v);
 
 /// Behavioural knobs distinguishing the modeled stacks. The defaults are
 /// Linux 4.4 (the paper's reference stack); `for_version` derives the
-/// others per the §5.3 cross-validation findings.
+/// others per the §5.3 cross-validation findings. What every modeled stack
+/// shares is fixed in TcpEndpoint: checksum validation, timestamps with
+/// PAWS, MSS 1460, and no negotiated MD5 (so any MD5 option is unsolicited).
 struct StackProfile {
   LinuxVersion version = LinuxVersion::k4_4;
-
-  /// All stacks validate checksums; left settable for experiments.
-  bool validates_checksum = true;
 
   /// RFC 2385: reject segments with an unsolicited MD5 option. Linux
   /// 2.4.37 predates the implementation and accepts such segments.
@@ -103,18 +103,11 @@ struct StackProfile {
   /// nor reset). Only meaningful when rfc5961_challenge_acks is false.
   bool ignores_syn_in_established = false;
 
-  /// PAWS (RFC 7323) old-timestamp rejection; on whenever timestamps are
-  /// negotiated on all modeled stacks.
-  bool paws = true;
-
   /// Reject segments whose ACK field acknowledges unsent data. A minority
   /// of real-world servers/middlebox front ends "accept packets regardless
   /// of the (wrong) ACK number" (§7.1) — those are modeled by clearing
   /// this flag.
   bool validates_ack_field = true;
-
-  /// Negotiate timestamps in the handshake.
-  bool use_timestamps = true;
 
   /// Overlap preference when reassembling out-of-order TCP segments.
   /// Linux keeps the first-arrived copy of a byte.
@@ -122,13 +115,6 @@ struct StackProfile {
 
   /// Overlap preference of the host IP-fragment reassembler.
   net::OverlapPolicy ip_fragment_overlap = net::OverlapPolicy::kPreferLast;
-
-  /// Whether an MD5-signed connection was negotiated (BGP-style peering);
-  /// off for every web server we model, making MD5 options "unsolicited".
-  bool md5_negotiated = false;
-
-  /// Maximum segment size announced and used for segmentation.
-  u16 mss = 1460;
 
   static StackProfile for_version(LinuxVersion v);
 };

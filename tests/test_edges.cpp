@@ -98,7 +98,7 @@ TEST(DnsForwarder, ReconnectsAfterResolverConnectionDies) {
   opt.seed = 61;
   Scenario sc(rules(), opt);
 
-  // TCP DNS service plus a kill switch: the server aborts connections on
+  // TCP DNS service plus a kill switch: the server resets connections on
   // demand to simulate a resolver dropping idle clients.
   std::vector<tcp::TcpEndpoint*> server_conns;
   auto offsets =
@@ -135,7 +135,9 @@ TEST(DnsForwarder, ReconnectsAfterResolverConnectionDies) {
   ASSERT_EQ(server_conns.size(), 1u);
 
   // Kill the resolver-side connection; the client endpoint learns via RST.
-  server_conns[0]->abort();
+  const tcp::TcpEndpoint& killed = *server_conns[0];
+  sc.server().send_raw_unhooked(net::make_tcp_packet(
+      killed.tuple(), net::TcpFlags::only_rst(), killed.snd_nxt(), 0));
   sc.run();
 
   // The next query must transparently open a fresh TCP connection.

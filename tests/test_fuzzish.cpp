@@ -92,7 +92,7 @@ TEST_P(EndpointStorm, RandomSegmentStormPreservesInvariants) {
   Bytes delivered;
   tcp::TcpEndpoint::Callbacks cb;
   cb.send = [&sent](net::Packet p) { sent.push_back(std::move(p)); };
-  cb.on_data = [&delivered](ByteView d) {
+  cb.on_data = [&delivered](tcp::TcpEndpoint&, ByteView d) {
     delivered.insert(delivered.end(), d.begin(), d.end());
   };
   tcp::TcpEndpoint ep(loop, Rng(3),
