@@ -133,6 +133,55 @@ TEST(Device, AlwaysForwardsOriginalPackets) {
   EXPECT_GT(rig.fwd.injected.size(), 0u);
 }
 
+TEST(Device, InjectionDueWithTheForwardedPacketRunsAfterIt) {
+  // 10-hop path, GFW at hop 5, no jitter: a packet the GFW forwards
+  // reaches the server 5 hops' latency later. A reaction delay of exactly
+  // that makes the first forged reset leave in the same microsecond; it
+  // must run after the forwarded packet lands, as on the real tap, which
+  // reads a packet only once it passed on.
+  net::EventLoop loop;
+  obs::TraceRecorder trace;
+  net::PathConfig pc;
+  pc.server_hops = 10;
+  pc.jitter_us = 0;
+  pc.per_link_loss = 0.0;
+  net::Path path(loop, Rng(1), pc, &trace);
+  const DetectionRules rules = DetectionRules::standard();
+  GfwConfig cfg;
+  cfg.detection_miss_rate = 0.0;
+  cfg.reaction_delay = SimTime::from_us(5 * pc.per_hop_latency_us);
+  GfwDevice dev("gfw", cfg, &rules, Rng(9));
+  path.attach(5, &dev);
+  path.set_server_sink([](net::Packet&) {});
+  path.set_client_sink([](net::Packet&) {});
+
+  path.send_from_client(
+      net::make_tcp_packet(kTuple, net::TcpFlags::only_syn(), 1000, 0));
+  path.send_from_client(net::make_tcp_packet(
+      kTuple, net::TcpFlags::psh_ack(), 1001, 0,
+      to_bytes("GET /?q=ultrasurf HTTP/1.1\r\n")));
+  loop.run();
+  ASSERT_EQ(dev.reset_volleys(), 1);
+
+  const std::vector<obs::TraceEvent> events = trace.events();
+  std::size_t recv = events.size();
+  std::size_t inject = events.size();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::TraceEvent& e = events[i];
+    if (e.kind == obs::TraceKind::kRecv && e.actor == "server" &&
+        e.packet.payload_len > 0 && recv == events.size()) {
+      recv = i;
+    }
+    if (e.kind == obs::TraceKind::kInject && inject == events.size()) {
+      inject = i;
+    }
+  }
+  ASSERT_LT(recv, events.size());
+  ASSERT_LT(inject, events.size());
+  EXPECT_EQ(events[recv].at, events[inject].at);
+  EXPECT_LT(recv, inject);
+}
+
 TEST(Device, CreatesTcbOnSynAndDetectsKeyword) {
   DeviceRig rig;
   rig.handshake();

@@ -636,6 +636,207 @@ TEST(Path, BypassingTheFifoLeavesTheFloorForOthers) {
   EXPECT_LT(arrival[29], arrival[10]);
 }
 
+// ------------------------------------------------------- what a tap sees
+
+/// One packet as an on-path tap logged it.
+struct Sighting {
+  u8 ttl = 0;
+  Bytes payload;
+  u64 trace_id = 0;
+};
+
+/// On-path tap in the GFW's shape: it forwards the packet first, then logs
+/// the packet as it arrived.
+class CopyingTap final : public PathElement {
+ public:
+  std::string name() const override { return "tap"; }
+  void process(Packet pkt, Dir, Forwarder& fwd) override {
+    const Packet seen = pkt;
+    fwd.forward(std::move(pkt));
+    log.push_back({seen.ip.ttl, seen.payload, seen.trace_id});
+  }
+  std::vector<Sighting> log;
+};
+
+/// Fault hook acting on the segments leaving hop `from`.
+class SegmentHook final : public FaultHook {
+ public:
+  SegmentHook(int from, LinkAction act) : from_(from), act_(act) {}
+  LinkAction on_segment(const Packet&, Dir, int from_pos, int,
+                        SimTime) override {
+    return from_pos == from_ ? act_ : LinkAction{};
+  }
+  InjectAction on_inject(const std::string&, SimTime) override { return {}; }
+
+ private:
+  int from_;
+  LinkAction act_;
+};
+
+constexpr int kTapHop = 4;
+
+/// A tap at hop 4 and a plain element at hop 7 on a 10-hop path.
+template <class Tap>
+struct TapRig {
+  PathFixture fx;
+  Tap tap;
+  TapElement after{"after"};
+
+  explicit TapRig(PathConfig cfg = PathFixture::make_config()) : fx(cfg) {
+    fx.path.attach(kTapHop, &tap);
+    fx.path.attach(7, &after);
+  }
+
+  void send(u8 ttl, u32 seq = 1) {
+    Packet pkt = probe(ttl, seq);
+    pkt.payload = to_bytes("hello");
+    fx.path.send_from_client(std::move(pkt));
+  }
+
+  bool traced(obs::TraceKind kind) const {
+    for (const auto& e : fx.trace.events()) {
+      if (e.kind == kind) return true;
+    }
+    return false;
+  }
+};
+
+template <class Tap>
+void tap_sees_a_packet_that_continues() {
+  TapRig<Tap> rig;
+  rig.send(64);
+  rig.fx.loop.run();
+  ASSERT_EQ(rig.tap.log.size(), 1u);
+  EXPECT_EQ(rig.tap.log[0].ttl, 64 - kTapHop);
+  EXPECT_EQ(rig.tap.log[0].payload, to_bytes("hello"));
+  EXPECT_EQ(rig.tap.log[0].trace_id, 1u);
+  ASSERT_EQ(rig.after.seen.size(), 1u);
+  EXPECT_EQ(rig.after.seen[0].ip.ttl, 64 - 7);
+  ASSERT_EQ(rig.fx.at_server.size(), 1u);
+  EXPECT_EQ(rig.fx.at_server[0].ip.ttl, 64 - 10);
+  EXPECT_EQ(rig.fx.at_server[0].payload, to_bytes("hello"));
+  EXPECT_EQ(rig.fx.at_server[0].trace_id, 1u);
+}
+
+template <class Tap>
+void tap_sees_a_packet_that_expires_on_the_next_link() {
+  TapRig<Tap> rig;
+  rig.send(kTapHop + 1, 1);  // one link left after the tap
+  rig.send(kTapHop, 2);      // none left
+  rig.fx.loop.run();
+  ASSERT_EQ(rig.tap.log.size(), 2u);
+  EXPECT_EQ(rig.tap.log[0].ttl, 1);
+  EXPECT_EQ(rig.tap.log[0].trace_id, 1u);
+  EXPECT_EQ(rig.tap.log[1].ttl, 0);
+  EXPECT_EQ(rig.tap.log[1].trace_id, 2u);
+  for (const Sighting& s : rig.tap.log) {
+    EXPECT_EQ(s.payload, to_bytes("hello"));
+  }
+  EXPECT_TRUE(rig.after.seen.empty());
+  EXPECT_TRUE(rig.fx.at_server.empty());
+  EXPECT_TRUE(rig.traced(obs::TraceKind::kExpire));
+}
+
+template <class Tap>
+void tap_sees_packets_lost_on_the_next_link() {
+  PathConfig cfg = PathFixture::make_config();
+  cfg.per_link_loss = 0.1;
+  TapRig<Tap> rig(cfg);
+  constexpr u32 kSent = 80;
+  for (u32 i = 0; i < kSent; ++i) rig.send(64, i);
+  rig.fx.loop.run();
+  ASSERT_FALSE(rig.tap.log.empty());
+  for (const Sighting& s : rig.tap.log) {
+    EXPECT_EQ(s.ttl, 64 - kTapHop);
+    EXPECT_EQ(s.payload, to_bytes("hello"));
+  }
+  // Every packet the later element saw, the tap saw first, with the same
+  // trace id; some the tap saw died on the links between the two.
+  std::vector<u64> tap_ids;
+  for (const Sighting& s : rig.tap.log) tap_ids.push_back(s.trace_id);
+  std::size_t matched = 0;
+  for (const Packet& p : rig.after.seen) {
+    while (matched < tap_ids.size() && tap_ids[matched] != p.trace_id) {
+      ++matched;
+    }
+    ASSERT_LT(matched, tap_ids.size()) << "trace id " << p.trace_id;
+    ++matched;
+  }
+  EXPECT_LT(rig.after.seen.size(), rig.tap.log.size());
+  EXPECT_TRUE(rig.traced(obs::TraceKind::kLoss));
+}
+
+template <class Tap>
+void tap_sees_the_clean_packet_a_fault_corrupts_next() {
+  TapRig<Tap> rig;
+  FaultHook::LinkAction act;
+  act.corrupt = true;
+  act.reason = "corrupt";
+  SegmentHook hook(kTapHop, act);
+  rig.fx.path.set_fault_hook(&hook);
+  rig.send(64);
+  rig.fx.loop.run();
+  ASSERT_EQ(rig.tap.log.size(), 1u);
+  EXPECT_EQ(rig.tap.log[0].ttl, 64 - kTapHop);
+  EXPECT_EQ(rig.tap.log[0].payload, to_bytes("hello"));
+  EXPECT_EQ(rig.tap.log[0].trace_id, 1u);
+  ASSERT_EQ(rig.after.seen.size(), 1u);
+  EXPECT_EQ(rig.after.seen[0].payload, to_bytes("Hello"));
+  EXPECT_EQ(rig.after.seen[0].ip.ttl, 64 - 7);
+  ASSERT_EQ(rig.fx.at_server.size(), 1u);
+  EXPECT_EQ(rig.fx.at_server[0].payload, to_bytes("Hello"));
+  EXPECT_FALSE(transport_checksum_ok(rig.fx.at_server[0]));
+}
+
+template <class Tap>
+void tap_sees_one_packet_a_fault_duplicates_next(bool corrupt_too) {
+  TapRig<Tap> rig;
+  FaultHook::LinkAction act;
+  act.duplicate = true;
+  act.corrupt = corrupt_too;
+  act.reason = "dup";
+  SegmentHook hook(kTapHop, act);
+  rig.fx.path.set_fault_hook(&hook);
+  rig.send(64);
+  rig.fx.loop.run();
+  ASSERT_EQ(rig.tap.log.size(), 1u);
+  EXPECT_EQ(rig.tap.log[0].ttl, 64 - kTapHop);
+  EXPECT_EQ(rig.tap.log[0].payload, to_bytes("hello"));
+  EXPECT_EQ(rig.tap.log[0].trace_id, 1u);
+  const Bytes landed = to_bytes(corrupt_too ? "Hello" : "hello");
+  ASSERT_EQ(rig.after.seen.size(), 2u);
+  ASSERT_EQ(rig.fx.at_server.size(), 2u);
+  for (const auto* log : {&rig.after.seen, &rig.fx.at_server}) {
+    for (const Packet& p : *log) {
+      EXPECT_EQ(p.payload, landed);
+      EXPECT_EQ(p.trace_id, 1u);
+    }
+  }
+  EXPECT_EQ(rig.after.seen[1].ip.ttl, 64 - 7);
+  EXPECT_EQ(rig.fx.at_server[1].ip.ttl, 64 - 10);
+}
+
+TEST(Path, TapSeesAPacketThatContinues) {
+  tap_sees_a_packet_that_continues<CopyingTap>();
+}
+
+TEST(Path, TapSeesArrivalTtlOfAPacketThatExpiresNext) {
+  tap_sees_a_packet_that_expires_on_the_next_link<CopyingTap>();
+}
+
+TEST(Path, TapSeesPacketsLostOnTheNextLinks) {
+  tap_sees_packets_lost_on_the_next_link<CopyingTap>();
+}
+
+TEST(Path, TapSeesTheCleanPayloadOfAPacketCorruptedNext) {
+  tap_sees_the_clean_packet_a_fault_corrupts_next<CopyingTap>();
+}
+
+TEST(Path, TapSeesOnePacketThatIsDuplicatedNext) {
+  tap_sees_one_packet_a_fault_duplicates_next<CopyingTap>(false);
+  tap_sees_one_packet_a_fault_duplicates_next<CopyingTap>(true);
+}
+
 TEST(Path, LossIsApplied) {
   PathConfig cfg;
   cfg.server_hops = 10;
