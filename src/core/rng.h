@@ -115,4 +115,23 @@ class Rng {
   std::array<u64, 4> state_{};
 };
 
+/// Rng::chance(p) with its threshold computed once, for a caller drawing
+/// with one p many times: it draws exactly when chance(p) would (never for
+/// p <= 0 or p >= 1) and gives the same result.
+class Chance {
+ public:
+  explicit Chance(double p)
+      : draws_(!(p <= 0.0) && !(p >= 1.0)), certain_(p >= 1.0),
+        threshold_(draws_ ? Rng::chance_threshold(p) : 0) {}
+
+  bool operator()(Rng& rng) const {
+    return draws_ ? rng.draw_below(threshold_) : certain_;
+  }
+
+ private:
+  bool draws_;
+  bool certain_;
+  u64 threshold_;
+};
+
 }  // namespace ys

@@ -44,12 +44,36 @@ std::vector<ServerSpec> make_server_population(int count, u64 seed,
 
 namespace {
 
+/// The chances of the systematic draws, their thresholds computed once
+/// per calibration: a PathProfileCache draws hundreds of profiles with the
+/// same ones.
+struct ProfileOdds {
+  explicit ProfileOdds(const Calibration& cal)
+      : old_model(cal.old_model_fraction),
+        ttl_error_inside(cal.ttl_estimate_error_prob),
+        ttl_error_foreign(cal.ttl_estimate_error_prob_foreign),
+        coin(0.5),
+        rst_resync_handshake(cal.rst_resync_handshake),
+        rst_resync_established(cal.rst_resync_established),
+        no_flag_accept(cal.no_flag_accept),
+        overlap_prefer_last(cal.segment_overlap_prefer_last) {}
+
+  Chance old_model;
+  Chance ttl_error_inside;
+  Chance ttl_error_foreign;
+  Chance coin;
+  Chance rst_resync_handshake;
+  Chance rst_resync_established;
+  Chance no_flag_accept;
+  Chance overlap_prefer_last;
+};
+
 /// The single source of truth for the systematic draw sequence. Both
 /// make_path_profile() and the Scenario constructor (when no pooled
 /// profile is supplied) go through here, so pooled and unpooled
 /// construction consume the path stream identically by construction.
 PathProfile draw_path_profile(Rng& rng, const VantagePoint& vp,
-                              const Calibration& cal) {
+                              const Calibration& cal, const ProfileOdds& odds) {
   PathProfile p;
   const bool inside = vp.inside_china;
   p.server_hops = static_cast<int>(rng.uniform_range(cal.hop_min, cal.hop_max));
@@ -68,28 +92,28 @@ PathProfile draw_path_profile(Rng& rng, const VantagePoint& vp,
                             cal.foreign_gfw_server_gap_max));
     p.gfw_position = std::clamp(p.gfw_position, 2, p.server_hops - 1);
   }
-  p.old_model = rng.chance(cal.old_model_fraction);
+  p.old_model = odds.old_model(rng);
 
   // The client's path knowledge (tcptraceroute estimate, §7.1), possibly
   // stale per the calibrated route-dynamics error. The error is a property
   // of the path measurement, so it persists across repeated probes.
   p.knowledge.hop_estimate = p.server_hops;
   p.knowledge.ttl_delta = 2;
-  const double err_prob = inside ? cal.ttl_estimate_error_prob
-                                 : cal.ttl_estimate_error_prob_foreign;
-  if (rng.chance(err_prob)) {
-    p.knowledge.hop_estimate += rng.chance(0.5) ? cal.ttl_estimate_error_hops
-                                                : -cal.ttl_estimate_error_hops;
+  const Chance& ttl_error =
+      inside ? odds.ttl_error_inside : odds.ttl_error_foreign;
+  if (ttl_error(rng)) {
+    p.knowledge.hop_estimate += odds.coin(rng) ? cal.ttl_estimate_error_hops
+                                               : -cal.ttl_estimate_error_hops;
   }
 
-  p.rst_reaction_handshake = rng.chance(cal.rst_resync_handshake)
+  p.rst_reaction_handshake = odds.rst_resync_handshake(rng)
                                  ? gfw::RstReaction::kResync
                                  : gfw::RstReaction::kTeardown;
-  p.rst_reaction_established = rng.chance(cal.rst_resync_established)
+  p.rst_reaction_established = odds.rst_resync_established(rng)
                                    ? gfw::RstReaction::kResync
                                    : gfw::RstReaction::kTeardown;
-  p.accepts_no_flag_data = rng.chance(cal.no_flag_accept);
-  p.tcp_segment_overlap = rng.chance(cal.segment_overlap_prefer_last)
+  p.accepts_no_flag_data = odds.no_flag_accept(rng);
+  p.tcp_segment_overlap = odds.overlap_prefer_last(rng)
                               ? net::OverlapPolicy::kPreferLast
                               : net::OverlapPolicy::kPreferFirst;
   if (p.old_model) {
@@ -125,20 +149,21 @@ PathProfile make_path_profile(const VantagePoint& vp, const ServerSpec& server,
   Rng rng(path_seed != 0
               ? path_seed
               : default_path_seed(Rng::hash_label(vp.name), server.ip));
-  return draw_path_profile(rng, vp, cal);
+  return draw_path_profile(rng, vp, cal, ProfileOdds(cal));
 }
 
 PathProfileCache::PathProfileCache(const std::vector<VantagePoint>& vps,
                                    const std::vector<ServerSpec>& servers,
                                    const Calibration& cal)
     : servers_(servers.size()) {
+  const ProfileOdds odds(cal);
   profiles_.reserve(vps.size() * servers.size());
   for (const VantagePoint& vp : vps) {
     // The vantage's label is hashed once per row, not once per pair.
     const u64 vp_label = Rng::hash_label(vp.name);
     for (const ServerSpec& srv : servers) {
       Rng rng(default_path_seed(vp_label, srv.ip));
-      profiles_.push_back(draw_path_profile(rng, vp, cal));
+      profiles_.push_back(draw_path_profile(rng, vp, cal, odds));
     }
   }
 }
@@ -164,7 +189,8 @@ Scenario::Scenario(const gfw::DetectionRules* rules, ScenarioOptions opt)
   // dynamic rng_ draws untouched.
   const PathProfile profile = opt_.profile != nullptr
                                   ? *opt_.profile
-                                  : draw_path_profile(path_rng_, opt_.vp, cal);
+                                  : draw_path_profile(path_rng_, opt_.vp, cal,
+                                                      ProfileOdds(cal));
   server_hops_ = profile.server_hops;
   gfw_position_ = profile.gfw_position;
   old_model_ = profile.old_model;

@@ -1,5 +1,6 @@
 #include "exp/trial.h"
 
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <unordered_set>
@@ -16,6 +17,12 @@ namespace ys::exp {
 
 namespace {
 
+enum class TrialKind { kHttp, kDns, kTor, kVpn };
+
+constexpr std::array<const char*, 4> kKindNames{"http", "dns", "tor", "vpn"};
+constexpr std::size_t kOutcomes =
+    static_cast<std::size_t>(Outcome::kTrialError) + 1;
+
 /// Every trial runner reports its §3.4 classification here, so the JSON
 /// snapshot carries trial-level outcomes next to the packet-level counters
 /// ("exp.trial_total", "exp.trial_success", "exp.http_trials", ...).
@@ -29,49 +36,59 @@ namespace {
 /// sim-milliseconds from connection start to verdict. `yourstate stats`
 /// and the runner report surface these as success/failure time profiles.
 struct TrialCounters {
+  obs::MetricsRegistry& reg;
   obs::Counter& total;
   obs::Counter& success;
   obs::Counter& failure1;
   obs::Counter& failure2;
   obs::Counter& trial_error;
+  // Registered on first hit, so a snapshot names only what was counted.
+  std::array<obs::Counter*, kKindNames.size()> by_kind{};
+  std::array<std::array<obs::Histogram*, strategy::kStrategyIdCount>,
+             kOutcomes>
+      vtime{};
 };
 
-void count_outcome(const char* kind, Outcome o, strategy::StrategyId used,
+void count_outcome(TrialKind kind, Outcome o, strategy::StrategyId used,
                    SimTime vtime, SimTime at) {
+  const auto k = static_cast<std::size_t>(kind);
   // Timeline twin of the counters below (opt-in), bucketed at the trial's
   // absolute completion instant so trial density lines up with the fleet
   // and fault series on one axis.
   if (obs::Timeline* tl = obs::Timeline::current()) {
-    const obs::TimelineLabels lbl{{"kind", kind}};
+    const obs::TimelineLabels lbl{{"kind", kKindNames[k]}};
     tl->count("exp.trials", lbl, at);
     if (o == Outcome::kSuccess) tl->count("exp.trial_success", lbl, at);
   }
-  auto& reg = obs::MetricsRegistry::current();
   TrialCounters& m =
       obs::bind_per_thread<TrialCounters>([](obs::MetricsRegistry& r) {
-        return TrialCounters{r.counter("exp.trial_total"),
+        return TrialCounters{r,
+                             r.counter("exp.trial_total"),
                              r.counter("exp.trial_success"),
                              r.counter("exp.trial_failure1"),
                              r.counter("exp.trial_failure2"),
                              r.counter("exp.trial_error")};
       });
-  obs::Counter& total = m.total;
-  obs::Counter& success = m.success;
-  obs::Counter& failure1 = m.failure1;
-  obs::Counter& failure2 = m.failure2;
-  obs::Counter& trial_error = m.trial_error;
-  total.inc();
+  m.total.inc();
   switch (o) {
-    case Outcome::kSuccess: success.inc(); break;
-    case Outcome::kFailure1: failure1.inc(); break;
-    case Outcome::kFailure2: failure2.inc(); break;
-    case Outcome::kTrialError: trial_error.inc(); break;
+    case Outcome::kSuccess: m.success.inc(); break;
+    case Outcome::kFailure1: m.failure1.inc(); break;
+    case Outcome::kFailure2: m.failure2.inc(); break;
+    case Outcome::kTrialError: m.trial_error.inc(); break;
   }
-  reg.counter(std::string("exp.") + kind + "_trials").inc();
-  reg.histogram(std::string("exp.vtime.") + to_string(o) + "." +
-                    strategy::to_string(used),
-                obs::exponential_buckets(1.0, 2.0, 17))
-      .observe(vtime.millis());
+  if (m.by_kind[k] == nullptr) {
+    m.by_kind[k] =
+        &m.reg.counter(std::string("exp.") + kKindNames[k] + "_trials");
+  }
+  m.by_kind[k]->inc();
+  obs::Histogram*& hist =
+      m.vtime[static_cast<std::size_t>(o)][static_cast<std::size_t>(used)];
+  if (hist == nullptr) {
+    hist = &m.reg.histogram(std::string("exp.vtime.") + to_string(o) + "." +
+                                strategy::to_string(used),
+                            obs::exponential_buckets(1.0, 2.0, 17));
+  }
+  hist->observe(vtime.millis());
 }
 
 }  // namespace
@@ -247,7 +264,7 @@ TrialResult run_http_trial(Scenario& scenario, const HttpTrialOptions& opt) {
                                       result.outcome == Outcome::kSuccess,
                                       scenario.loop().now());
   }
-  count_outcome("http", result.outcome, result.strategy_used,
+  count_outcome(TrialKind::kHttp, result.outcome, result.strategy_used,
                 scenario.loop().now() - scenario.options().start_time,
                 scenario.loop().now());
   return result;
@@ -319,7 +336,7 @@ DnsTrialResult run_dns_trial(Scenario& scenario, const DnsTrialOptions& opt) {
     result.outcome = Outcome::kTrialError;
     result.answered = false;
   }
-  count_outcome("dns", result.outcome, opt.strategy,
+  count_outcome(TrialKind::kDns, result.outcome, opt.strategy,
                 scenario.loop().now() - scenario.options().start_time,
                 scenario.loop().now());
   return result;
@@ -388,7 +405,7 @@ TorTrialResult run_tor_trial(Scenario& scenario, const TorTrialOptions& opt) {
                                       result.outcome == Outcome::kSuccess,
                                       scenario.loop().now());
   }
-  count_outcome("tor", result.outcome, result.strategy_used,
+  count_outcome(TrialKind::kTor, result.outcome, result.strategy_used,
                 scenario.loop().now() - scenario.options().start_time,
                 scenario.loop().now());
   return result;
@@ -443,7 +460,7 @@ TrialResult run_vpn_trial(Scenario& scenario, const VpnTrialOptions& opt) {
                                       result.outcome == Outcome::kSuccess,
                                       scenario.loop().now());
   }
-  count_outcome("vpn", result.outcome, result.strategy_used,
+  count_outcome(TrialKind::kVpn, result.outcome, result.strategy_used,
                 scenario.loop().now() - scenario.options().start_time,
                 scenario.loop().now());
   return result;

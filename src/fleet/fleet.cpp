@@ -1,7 +1,10 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "exp/table.h"
 #include "netsim/pcap.h"
@@ -17,7 +20,25 @@ namespace {
 
 using intang::StrategySelector;
 
+constexpr std::size_t kPickSources =
+    static_cast<std::size_t>(StrategySelector::Choice::Source::kSafeMode) + 1;
+
+/// "fleet.pick.<source>": how a flow's strategy was picked.
+std::string pick_counter_name(int source) {
+  return std::string("fleet.pick.") +
+         to_string(static_cast<StrategySelector::Choice::Source>(source));
+}
+
+/// "fleet.share.p<N>.<strategy>": per-strategy share over time, one
+/// counter per (soak phase, strategy); p0 = before any soak boundary (or a
+/// soak-free run).
+std::string share_counter_name(int soak_phase, strategy::StrategyId id) {
+  return "fleet.share.p" + std::to_string(soak_phase + 1) + "." +
+         strategy::to_string(id);
+}
+
 struct FleetMetrics {
+  obs::MetricsRegistry& reg;
   obs::Counter& flows;
   obs::Counter& success;
   obs::Counter& failure1;
@@ -26,11 +47,16 @@ struct FleetMetrics {
   obs::Counter& cache_hits;
   obs::Counter& cross_client_supply;
   obs::Counter& fresh_sessions;
+  // Registered on first hit, so a snapshot names only what was counted.
+  std::array<obs::Counter*, kPickSources> pick{};
+  /// Indexed by soak phase + 1, then by strategy id.
+  std::vector<std::array<obs::Counter*, strategy::kStrategyIdCount>> share{};
 };
 
 FleetMetrics& metrics() {
   return obs::bind_per_thread<FleetMetrics>([](obs::MetricsRegistry& reg) {
-    return FleetMetrics{reg.counter("fleet.flows"),
+    return FleetMetrics{reg,
+                        reg.counter("fleet.flows"),
                         reg.counter("fleet.flow_success"),
                         reg.counter("fleet.flow_failure1"),
                         reg.counter("fleet.flow_failure2"),
@@ -239,18 +265,19 @@ Fleet::FlowRecord Fleet::run_flow_impl(const runner::GridCoord& c,
           flow.client) {
     m.cross_client_supply.inc();
   }
-  auto& reg = obs::MetricsRegistry::current();
   if (rec.source >= 0) {
-    reg.counter(std::string("fleet.pick.") +
-                to_string(static_cast<StrategySelector::Choice::Source>(
-                    rec.source)))
-        .inc();
+    obs::Counter*& pick = m.pick[static_cast<std::size_t>(rec.source)];
+    if (pick == nullptr) pick = &m.reg.counter(pick_counter_name(rec.source));
+    pick->inc();
   }
-  // Per-strategy share over time: one counter per (soak phase, strategy);
-  // phase p0 = before any soak boundary (or a soak-free run).
-  reg.counter("fleet.share.p" + std::to_string(flow.soak_phase + 1) + "." +
-              strategy::to_string(rec.strategy))
-      .inc();
+  const auto phase = static_cast<std::size_t>(flow.soak_phase + 1);
+  if (m.share.size() <= phase) m.share.resize(phase + 1);
+  obs::Counter*& share =
+      m.share[phase][static_cast<std::size_t>(rec.strategy)];
+  if (share == nullptr) {
+    share = &m.reg.counter(share_counter_name(flow.soak_phase, rec.strategy));
+  }
+  share->inc();
 
   // Live heartbeat feed (relaxed: monitoring only, never read into
   // results).
@@ -591,15 +618,8 @@ void Fleet::rebuild_telemetry(const std::vector<i64>& slots,
           schedule[static_cast<std::size_t>(rec.supplier)].client !=
               flow.client;
       if (cross_client) reg.counter("fleet.cross_client_supply").inc();
-      if (rec.source >= 0) {
-        reg.counter(std::string("fleet.pick.") +
-                    to_string(static_cast<StrategySelector::Choice::Source>(
-                        rec.source)))
-            .inc();
-      }
-      reg.counter("fleet.share.p" + std::to_string(flow.soak_phase + 1) +
-                  "." + strategy::to_string(rec.strategy))
-          .inc();
+      if (rec.source >= 0) reg.counter(pick_counter_name(rec.source)).inc();
+      reg.counter(share_counter_name(flow.soak_phase, rec.strategy)).inc();
 
       if (tl != nullptr) {
         tl->count("fleet.flows", labels, flow.at);

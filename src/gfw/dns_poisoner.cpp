@@ -18,13 +18,18 @@ net::IpAddr DnsPoisoner::bogus_address(Rng& rng) {
 }
 
 void DnsPoisoner::process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) {
-  net::Packet copy = pkt;
-  fwd.forward(std::move(pkt));
+  // Only client→resolver UDP queries on port 53 are interesting; the
+  // rest pass on unread.
+  if (pkt.is_udp() && pkt.udp->dst_port == 53) {
+    fwd.forward_and_observe(pkt, dir, *this);
+  } else {
+    fwd.forward(std::move(pkt));
+  }
+}
 
-  // Only client→resolver UDP queries on port 53 are interesting.
-  if (!copy.is_udp() || copy.udp->dst_port != 53) return;
-
-  auto parsed = app::dns_parse(copy.payload);
+void DnsPoisoner::observe(const net::Packet& pkt, net::Dir dir,
+                          net::Forwarder& fwd) {
+  auto parsed = app::dns_parse(pkt.payload);
   if (!parsed.ok() || parsed.value().is_response) return;
   const app::DnsMessage& query = parsed.value();
 
@@ -32,7 +37,7 @@ void DnsPoisoner::process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) {
     if (!rules_->dns_blacklist.contains(q.qname)) continue;
     app::DnsMessage forged = app::make_response(query, bogus_address(rng_));
     net::Packet response =
-        net::make_udp_packet(copy.tuple().reversed(), app::dns_encode(forged));
+        net::make_udp_packet(pkt.tuple().reversed(), app::dns_encode(forged));
     ++poisoned_;
     fwd.inject(std::move(response), net::opposite(dir), reaction_delay_);
     return;

@@ -25,6 +25,8 @@ class DnsPoisoner final : public net::PathElement {
 
   std::string name() const override { return name_; }
   void process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) override;
+  void observe(const net::Packet& pkt, net::Dir dir,
+               net::Forwarder& fwd) override;
 
   int poisoned() const { return poisoned_; }
 

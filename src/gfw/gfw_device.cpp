@@ -89,22 +89,25 @@ bool GfwDevice::host_pair_blocked(net::IpAddr a, net::IpAddr b,
 
 void GfwDevice::process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) {
   // On-path tap: the original packet always continues untouched; the
-  // device reads a copy and may inject.
-  net::Packet copy = pkt;
-  fwd.forward(std::move(pkt));
+  // device reads it as it arrived and may inject.
+  fwd.forward_and_observe(pkt, dir, *this);
+}
+
+void GfwDevice::observe(const net::Packet& pkt, net::Dir dir,
+                        net::Forwarder& fwd) {
   trace_ = fwd.trace();
   trace_now_ = fwd.now();
-  current_pkt_ = copy.trace_id;
+  current_pkt_ = pkt.trace_id;
   metrics().packets_seen.inc();
   // The GFW reassembles IP fragments itself (preferring the first copy of
   // any overlapped range — the [17] behaviour that still holds). Whole
   // packets need no reassembly and are inspected in place.
-  if (copy.ip.is_fragmented()) {
-    std::optional<net::Packet> whole = reassembler_.push(copy);
-    if (!whole) return;
-    copy = std::move(*whole);
+  if (pkt.ip.is_fragmented()) {
+    const std::optional<net::Packet> whole = reassembler_.push(pkt);
+    if (whole) inspect(*whole, dir, fwd);
+    return;
   }
-  inspect(copy, dir, fwd);
+  inspect(pkt, dir, fwd);
 }
 
 void GfwDevice::trace_state(obs::GfwState from, obs::GfwState to,
@@ -148,7 +151,7 @@ void GfwDevice::inspect(const net::Packet& pkt, net::Dir dir,
     trace_state(obs::GfwState::kNone, obs::GfwState::kNone,
                 obs::GfwBehavior::kBlockPeriod,
                 "host pair inside the 90 s block period; forging responses");
-    auto injections = injector_.block_period_response(pkt, dir);
+    Volley injections = injector_.block_period_response(pkt, dir);
     for (const auto& inj : injections) {
       if (inj.packet.tcp->flags.syn && inj.packet.tcp->flags.ack) {
         ++forged_syn_acks_;
@@ -570,8 +573,7 @@ void GfwDevice::on_sensitive(GfwTcb& tcb, net::Forwarder& fwd,
   }
 }
 
-void GfwDevice::inject_all(std::vector<Injection> injections,
-                           net::Forwarder& fwd) {
+void GfwDevice::inject_all(Volley&& injections, net::Forwarder& fwd) {
   SimTime delay = cfg_.reaction_delay;
   for (auto& inj : injections) {
     // Attribute each injected packet to the packet under inspection, so

@@ -40,6 +40,8 @@ class GfwDevice final : public net::PathElement {
 
   std::string name() const override { return name_; }
   void process(net::Packet pkt, net::Dir dir, net::Forwarder& fwd) override;
+  void observe(const net::Packet& pkt, net::Dir dir,
+               net::Forwarder& fwd) override;
 
   /// Active-probe oracle for Tor filtering: given a suspected bridge IP,
   /// does the probe confirm a Tor bridge? Defaults to "yes".
@@ -83,7 +85,7 @@ class GfwDevice final : public net::PathElement {
   void scan_packet_type1(GfwTcb& tcb, const net::Packet& pkt,
                          net::Forwarder& fwd);
   void on_sensitive(GfwTcb& tcb, net::Forwarder& fwd, const char* what);
-  void inject_all(std::vector<Injection> injections, net::Forwarder& fwd);
+  void inject_all(Volley&& injections, net::Forwarder& fwd);
   void enter_resync(GfwTcb& tcb, obs::GfwBehavior why);
 
   /// Record a state-machine transition attributed to the packet currently

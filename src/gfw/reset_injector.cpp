@@ -7,8 +7,8 @@ constexpr u32 kType2Offsets[] = {0, 1460, 4380};
 
 }  // namespace
 
-std::vector<Injection> ResetInjector::type1_resets(const GfwTcb& tcb) {
-  std::vector<Injection> out;
+Volley ResetInjector::type1_resets(const GfwTcb& tcb) {
+  Volley out;
   const net::FourTuple c2s = tcb.tuple();
   const net::FourTuple s2c = c2s.reversed();
 
@@ -30,8 +30,8 @@ std::vector<Injection> ResetInjector::type1_resets(const GfwTcb& tcb) {
   return out;
 }
 
-std::vector<Injection> ResetInjector::type2_resets(const GfwTcb& tcb) {
-  std::vector<Injection> out;
+Volley ResetInjector::type2_resets(const GfwTcb& tcb) {
+  Volley out;
   const net::FourTuple c2s = tcb.tuple();
   const net::FourTuple s2c = c2s.reversed();
 
@@ -58,9 +58,9 @@ std::vector<Injection> ResetInjector::type2_resets(const GfwTcb& tcb) {
   return out;
 }
 
-std::vector<Injection> ResetInjector::block_period_response(
-    const net::Packet& observed, net::Dir observed_dir) {
-  std::vector<Injection> out;
+Volley ResetInjector::block_period_response(const net::Packet& observed,
+                                            net::Dir observed_dir) {
+  Volley out;
   if (!observed.is_tcp()) return out;
   const net::FourTuple fwd = observed.tuple();
   const net::FourTuple rev = fwd.reversed();
@@ -96,11 +96,11 @@ std::vector<Injection> ResetInjector::block_period_response(
   return out;
 }
 
-std::vector<Injection> ResetInjector::ip_block_response(
-    const net::Packet& observed, net::Dir observed_dir) {
+Volley ResetInjector::ip_block_response(const net::Packet& observed,
+                                        net::Dir observed_dir) {
   // Whole-IP blocking behaves like the block period, minus the forged
   // SYN/ACK: connections are refused with resets on any port.
-  std::vector<Injection> out;
+  Volley out;
   if (!observed.is_tcp()) return out;
   const net::FourTuple fwd = observed.tuple();
   const net::FourTuple rev = fwd.reversed();

@@ -9,8 +9,10 @@
 //    handshakes during the 90-second block period.
 #pragma once
 
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <utility>
-#include <vector>
 
 #include "core/rng.h"
 #include "gfw/gfw_tcb.h"
@@ -25,28 +27,51 @@ struct Injection {
   net::Dir dir;
 };
 
+/// The packets of one forged response in injection order, held inline:
+/// the largest response, the type-2 volley, has six.
+class Volley {
+ public:
+  static constexpr std::size_t kCapacity = 6;
+
+  void push_back(Injection inj) {
+    assert(size_ < kCapacity);
+    items_[size_++] = std::move(inj);
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Injection& operator[](std::size_t i) const { return items_[i]; }
+  Injection* begin() { return items_.data(); }
+  Injection* end() { return items_.data() + size_; }
+  const Injection* begin() const { return items_.data(); }
+  const Injection* end() const { return items_.data() + size_; }
+
+ private:
+  std::array<Injection, kCapacity> items_{};
+  std::size_t size_ = 0;
+};
+
 class ResetInjector {
  public:
   explicit ResetInjector(Rng rng, u8 base_ttl = 64)
       : rng_(std::move(rng)), base_ttl_(base_ttl) {}
 
   /// Type-1 reset pair for a tracked connection: one RST toward each end.
-  std::vector<Injection> type1_resets(const GfwTcb& tcb);
+  Volley type1_resets(const GfwTcb& tcb);
 
   /// Type-2 reset volley: three RST/ACKs toward each end at X, X+1460,
   /// X+4380.
-  std::vector<Injection> type2_resets(const GfwTcb& tcb);
+  Volley type2_resets(const GfwTcb& tcb);
 
   /// Block-period responses to an observed packet (§2.1): a SYN draws a
   /// forged SYN/ACK with a wrong sequence number back at its sender; any
   /// other packet draws RST + RST/ACK toward both ends.
-  std::vector<Injection> block_period_response(const net::Packet& observed,
-                                               net::Dir observed_dir);
+  Volley block_period_response(const net::Packet& observed,
+                               net::Dir observed_dir);
 
   /// Reset volley against an IP-blocked destination (Tor active-probing
   /// aftermath): RSTs toward both ends keyed off the observed packet.
-  std::vector<Injection> ip_block_response(const net::Packet& observed,
-                                           net::Dir observed_dir);
+  Volley ip_block_response(const net::Packet& observed,
+                           net::Dir observed_dir);
 
   u32 type2_cycle() const { return cycle_; }
 

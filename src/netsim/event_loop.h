@@ -87,12 +87,22 @@ class EventLoop {
   /// slot; `target` must outlive the event.
   void schedule_packet_at(SimTime when, PacketTarget* target, u32 tag,
                           Packet&& pkt, u64 aux = 0) {
+    schedule_packet_slot(when, target, tag, aux) = std::move(pkt);
+  }
+
+  /// schedule_packet_at() with the packet still to come: the event takes
+  /// its place in the (when, seq) order now and hands back its slot's
+  /// packet for the caller to fill. Slots never move and no event runs
+  /// before the current one returns, so the reference stays good until
+  /// then; the event must be filled before that.
+  Packet& schedule_packet_slot(SimTime when, PacketTarget* target, u32 tag,
+                               u64 aux = 0) {
     Slot& s = acquire_slot();
     s.target = target;
     s.tag = tag;
     s.aux = aux;
-    s.pkt = std::move(pkt);
     push(when, s);
+    return s.pkt;
   }
 
   /// Run until the queue drains or `max_events` fire (a bound guards

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace ys::net {
 
@@ -18,7 +19,32 @@ std::string sanitize_actor(const std::string& name) {
   return out;
 }
 
+/// "netsim.actor_events.<actor>" counters, resolved once per thread,
+/// registry and actor name: every flow attaches the same few names again.
+struct ActorCounters {
+  obs::MetricsRegistry& reg;
+  std::vector<std::pair<std::string, obs::Counter*>> by_name{};
+};
+
+obs::Counter& actor_events(const std::string& name) {
+  ActorCounters& a = obs::bind_per_thread<ActorCounters>(
+      [](obs::MetricsRegistry& reg) { return ActorCounters{reg}; });
+  for (const auto& [known, counter] : a.by_name) {
+    if (known == name) return *counter;
+  }
+  obs::Counter& counter =
+      a.reg.counter("netsim.actor_events." + sanitize_actor(name));
+  a.by_name.emplace_back(name, &counter);
+  return counter;
+}
+
 }  // namespace
+
+void Forwarder::forward_and_observe(Packet& pkt, Dir dir, PathElement& tap) {
+  const Packet arrived = pkt;
+  forward(std::move(pkt));
+  tap.observe(arrived, dir, *this);
+}
 
 obs::PacketRef to_trace_ref(const Packet& pkt, Dir dir) {
   obs::PacketRef ref;
@@ -62,6 +88,18 @@ class Path::ForwarderImpl final : public Forwarder {
   void forward(Packet pkt) override {
     pkt.trace_id = trace_id_;
     path_.transit(pkt, dir_, position_, index_);
+  }
+
+  // The crossing is decided first, as forward() would, and made only once
+  // the tap has read the packet: the tap reads it in place, with the TTL
+  // it arrived with and before a fault corrupts or duplicates it.
+  void forward_and_observe(Packet& pkt, Dir dir, PathElement& tap) override {
+    pkt.trace_id = trace_id_;
+    const u8 arrival_ttl = pkt.ip.ttl;
+    const Crossing crossing = path_.cross(pkt, dir_, position_, index_);
+    pkt.ip.ttl = arrival_ttl;
+    tap.observe(pkt, dir, *this);
+    path_.land(pkt, crossing);
   }
 
   void inject(Packet pkt, Dir dir, SimTime delay) override {
@@ -156,9 +194,8 @@ void Path::attach(int position, PathElement* element) {
   auto it = std::upper_bound(
       elements_.begin(), elements_.end(), position,
       [](int pos, const Attachment& a) { return pos < a.position; });
-  obs::Counter& events = obs::MetricsRegistry::current().counter(
-      "netsim.actor_events." + sanitize_actor(element->name()));
-  elements_.insert(it, Attachment{position, element, &events});
+  elements_.insert(
+      it, Attachment{position, element, &actor_events(element->name())});
   fifo_floor_.resize((elements_.size() + 1) * 2);
 }
 
@@ -186,7 +223,8 @@ void Path::send_from_server(Packet pkt) {
           static_cast<int>(elements_.size()));
 }
 
-void Path::transit(Packet& pkt, Dir dir, int from_pos, int after_index) {
+Path::Crossing Path::cross(Packet& pkt, Dir dir, int from_pos,
+                           int after_index) {
   // Find the next stop in the travel direction.
   int next_index = -1;
   int next_pos = endpoint_position(dir);
@@ -222,7 +260,7 @@ void Path::transit(Packet& pkt, Dir dir, int from_pos, int after_index) {
           trace_packet(obs::TraceKind::kExpire, "path", pkt, dir,
                        trace_->event_for_packet(pkt.trace_id), extra.c_str());
         }
-        return;
+        return {};
       }
       pkt.ip.ttl = static_cast<u8>(pkt.ip.ttl - 1);
       pos += step;
@@ -233,7 +271,7 @@ void Path::transit(Packet& pkt, Dir dir, int from_pos, int after_index) {
           trace_packet(obs::TraceKind::kLoss, "path", pkt, dir,
                        trace_->event_for_packet(pkt.trace_id));
         }
-        return;
+        return {};
       }
     }
   }
@@ -249,19 +287,7 @@ void Path::transit(Packet& pkt, Dir dir, int from_pos, int after_index) {
     }
     if (fault.drop) {
       metrics().fault_drops.inc();
-      return;
-    }
-    if (fault.corrupt) {
-      // Mutate the content but leave the already-finalized checksum stale,
-      // like a flaky link flipping bits after the NIC computed the sums.
-      metrics().fault_corruptions.inc();
-      if (!pkt.payload.empty()) {
-        pkt.payload[0] ^= 0x20;
-      } else if (pkt.tcp) {
-        pkt.tcp->checksum = static_cast<u16>(pkt.tcp->checksum ^ 0x5555);
-      } else if (pkt.udp) {
-        pkt.udp->checksum = static_cast<u16>(pkt.udp->checksum ^ 0x5555);
-      }
+      return {};
     }
   }
 
@@ -288,16 +314,16 @@ void Path::transit(Packet& pkt, Dir dir, int from_pos, int after_index) {
     floor = deliver_at;
   }
 
+  Crossing c;
+  c.ttl = pkt.ip.ttl;
+  c.corrupt = fault.corrupt;
   const u32 tag = event_tag(next_index, dir, false);
-  if (!fault.duplicate) {
-    loop_.schedule_packet_at(deliver_at, this, tag, std::move(pkt));
-    return;
-  }
+  c.slot = &loop_.schedule_packet_slot(deliver_at, this, tag);
+  if (!fault.duplicate) return c;
 
   // The copy trails the original by one hop latency and respects the
   // same FIFO floor, like a retransmitting link layer. The original's
-  // event is scheduled first and gets the copy; the duplicate takes `pkt`.
-  loop_.schedule_packet_at(deliver_at, this, tag, Packet(pkt));
+  // event comes first in the loop's order.
   metrics().fault_duplicates.inc();
   SimTime dup_at = deliver_at + SimTime::from_us(cfg_.per_hop_latency_us);
   if (!fault.bypass_fifo) {
@@ -305,7 +331,31 @@ void Path::transit(Packet& pkt, Dir dir, int from_pos, int after_index) {
     if (dup_at < floor) dup_at = floor;
     floor = dup_at;
   }
-  loop_.schedule_packet_at(dup_at, this, tag, std::move(pkt));
+  c.dup_slot = &loop_.schedule_packet_slot(dup_at, this, tag);
+  return c;
+}
+
+void Path::land(Packet& pkt, const Crossing& c) {
+  if (c.slot == nullptr) return;
+  pkt.ip.ttl = c.ttl;
+  if (c.corrupt) {
+    // Mutate the content but leave the already-finalized checksum stale,
+    // like a flaky link flipping bits after the NIC computed the sums.
+    metrics().fault_corruptions.inc();
+    if (!pkt.payload.empty()) {
+      pkt.payload[0] ^= 0x20;
+    } else if (pkt.tcp) {
+      pkt.tcp->checksum = static_cast<u16>(pkt.tcp->checksum ^ 0x5555);
+    } else if (pkt.udp) {
+      pkt.udp->checksum = static_cast<u16>(pkt.udp->checksum ^ 0x5555);
+    }
+  }
+  if (c.dup_slot != nullptr) {
+    *c.slot = pkt;
+    *c.dup_slot = std::move(pkt);
+  } else {
+    *c.slot = std::move(pkt);
+  }
 }
 
 void Path::on_packet_event(Packet& pkt, u32 tag, u64 aux) {

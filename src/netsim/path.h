@@ -35,6 +35,8 @@ inline const char* dir_name(Dir d) { return d == Dir::kC2S ? "c2s" : "s2c"; }
 /// conversion lives here).
 obs::PacketRef to_trace_ref(const Packet& pkt, Dir dir);
 
+class PathElement;
+
 /// Interface handed to a PathElement while it processes one packet.
 class Forwarder {
  public:
@@ -44,6 +46,14 @@ class Forwarder {
   /// May be called zero times (drop) or once; middleboxes that reassemble
   /// fragments may forward a different packet than they received.
   virtual void forward(Packet pkt) = 0;
+
+  /// forward() for an on-path tap that reads what it passes on: forwards
+  /// `pkt` (leaving it moved from), then calls `tap.observe` with the
+  /// packet as it arrived. The packet is forwarded first, so its draws and
+  /// its place among same-instant events come before anything the tap
+  /// injects. This default copies the packet for the tap; Path's forwarder
+  /// lets the tap read the packet where it lies.
+  virtual void forward_and_observe(Packet& pkt, Dir dir, PathElement& tap);
 
   /// Emit a brand-new packet from this element's position traveling `dir`
   /// after `delay` (models device reaction time). Injection is the only
@@ -77,6 +87,12 @@ class PathElement {
   virtual ~PathElement() = default;
   virtual std::string name() const = 0;
   virtual void process(Packet pkt, Dir dir, Forwarder& fwd) = 0;
+
+  /// An on-path tap's read of a packet it passed on through
+  /// Forwarder::forward_and_observe: the packet as it arrived here, with
+  /// its arrival TTL and payload. The tap may inject through `fwd`. In-path
+  /// elements never pass packets that way and keep this no-op.
+  virtual void observe(const Packet&, Dir, Forwarder&) {}
 };
 
 /// Deterministic fault-injection hook consulted by the path (ys::faults
@@ -218,11 +234,33 @@ class Path : private PacketTarget {
     return dir == Dir::kC2S ? cfg_.server_hops + hop_shift_ : 0;
   }
 
-  /// Move `pkt` from `from_pos` (exclusive) to the next element or endpoint
-  /// in `dir`, applying TTL, loss, and latency. `after_index` is the index
-  /// in elements_ the packet last visited (-1 when leaving an endpoint).
-  /// A packet that survives is moved into its next loop event.
-  void transit(Packet& pkt, Dir dir, int from_pos, int after_index);
+  /// A packet's crossing to its next stop, decided but not yet made: the
+  /// loop slots it lands in (none when it dies on the way) and what the
+  /// crossing still does to it.
+  struct Crossing {
+    Packet* slot = nullptr;
+    Packet* dup_slot = nullptr;  ///< a fault duplicate trailing the packet
+    u8 ttl = 0;                  ///< TTL on arrival at the next stop
+    bool corrupt = false;
+  };
+
+  /// Decide the crossing of `pkt` from `from_pos` (exclusive) to the next
+  /// element or endpoint in `dir`: every TTL, loss, fault and latency draw,
+  /// the trace events, the FIFO floor and the loop events, in that order.
+  /// `after_index` is the index in elements_ the packet last visited (-1
+  /// when leaving an endpoint). `pkt` keeps its payload; its TTL is left
+  /// where the crossing stopped.
+  Crossing cross(Packet& pkt, Dir dir, int from_pos, int after_index);
+
+  /// Make a decided crossing: set the arrival TTL, apply a fault
+  /// corruption and move `pkt` into its slot (copying it first for a
+  /// duplicate). No-op for a packet that died on the way.
+  void land(Packet& pkt, const Crossing& c);
+
+  /// Move `pkt` on to its next stop: cross(), then land().
+  void transit(Packet& pkt, Dir dir, int from_pos, int after_index) {
+    land(pkt, cross(pkt, dir, from_pos, after_index));
+  }
 
   /// Packet-event tags: the next stop (element index, or -1 for the
   /// endpoint), the direction, and whether the event is a delayed

@@ -176,6 +176,11 @@ enum class StrategyId {
   kTeardownReversal,       // Figure 4
 };
 
+/// Number of StrategyId values, for tables indexed by id: ids run from
+/// kNone (0) to the last enumerator. Keep it on whichever one is last.
+inline constexpr std::size_t kStrategyIdCount =
+    static_cast<std::size_t>(StrategyId::kTeardownReversal) + 1;
+
 const char* to_string(StrategyId id);
 
 /// The strategy's canonical program spec (strategy/program.h grammar).

@@ -77,17 +77,20 @@ void Host::handle_wire(net::Packet& pkt) {
     pkt = std::move(*whole);
   }
 
-  received_.push_back(pkt);
+  // The log keeps arrival order: the packet takes its place now and moves
+  // in once the hooks and the stack are done reading it, so a packet they
+  // hand back through inject_local() is logged after it.
+  const std::size_t logged_at = received_.size();
+  received_.emplace_back();
 
-  if (ingress_hook_) {
-    if (ingress_hook_(pkt) == Verdict::kDrop) return;
+  if (!ingress_hook_ || ingress_hook_(pkt) == Verdict::kAccept) {
+    if (pkt.is_tcp()) {
+      handle_tcp(pkt);
+    } else if (pkt.is_udp()) {
+      handle_udp(pkt);
+    }
   }
-
-  if (pkt.is_tcp()) {
-    handle_tcp(pkt);
-  } else if (pkt.is_udp()) {
-    handle_udp(pkt);
-  }
+  received_[logged_at] = std::move(pkt);
 }
 
 void Host::handle_tcp(const net::Packet& pkt) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/byte_io.h"
@@ -194,6 +195,25 @@ TEST(Rng, ThresholdDrawMatchesTheUniform01Compare) {
       ASSERT_EQ(c.chance(p), by_double);
     }
   }
+}
+
+TEST(Rng, HoistedChanceDrawsAsChanceDoes) {
+  // Chance(p) makes the draws chance(p) makes, including none at all for
+  // p <= 0 and p >= 1: after the same calls both streams are in step.
+  for (double p : {-1.0, 0.0, 1e-12, 0.045, 0.5, 0.999, 1.0, 3.0,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(p);
+    const Chance odds(p);
+    Rng a(47);
+    Rng b(47);
+    for (int i = 0; i < 500; ++i) ASSERT_EQ(odds(a), b.chance(p));
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+  Rng untouched(5);
+  Rng drawn(5);
+  EXPECT_FALSE(Chance(0.0)(drawn));
+  EXPECT_TRUE(Chance(1.0)(drawn));
+  EXPECT_EQ(drawn.next_u64(), untouched.next_u64());
 }
 
 TEST(Rng, Uniform01InHalfOpenInterval) {

@@ -3,7 +3,9 @@
 // packets in place, so a non-fragment costs no reassembly copy.
 #include <gtest/gtest.h>
 
+#include "gfw/dns_poisoner.h"
 #include "gfw/gfw_device.h"
+#include "middlebox/profiles.h"
 #include "netsim/fragment.h"
 #include "obs/alloc_hook.h"
 #include "tcpstack/host.h"
@@ -50,6 +52,74 @@ TEST(FragmentGate, GfwInspectsWholePacketsWithoutAReassemblyCopy) {
   // The tap's own copy of the payload is the only allocation left.
   EXPECT_LE(after.count - before.count, 1u);
   EXPECT_EQ(dev.pending_fragments(), 0u);
+}
+
+TEST(FragmentGate, WholeDataPacketCrossesARealPathWithoutAllocating) {
+  if (!obs::perf::alloc_hook_available()) {
+    GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+  }
+  // Figure 1's path: a stateful client-side box at hop 1, both GFW device
+  // types and the DNS poisoner at hop 5, the server host at hop 10. The
+  // taps read each packet where it lies and the host logs it by move.
+  net::EventLoop loop;
+  net::PathConfig pc;
+  pc.server_hops = 10;
+  net::Path path(loop, Rng(1), pc);
+  mbox::MiddleboxConfig box_cfg = mbox::aliyun_profile();
+  box_cfg.stateful = true;
+  box_cfg.seq_checking = true;
+  mbox::Middlebox box(box_cfg, Rng(2));
+  const gfw::DetectionRules rules = gfw::DetectionRules::standard();
+  gfw::GfwConfig type1;
+  type1.device_type = gfw::DeviceType::kType1;
+  gfw::GfwConfig type2;
+  type2.device_type = gfw::DeviceType::kType2;
+  gfw::GfwDevice gfw1("gfw-1", type1, &rules, Rng(3));
+  gfw::GfwDevice gfw2("gfw-2", type2, &rules, Rng(4));
+  gfw::DnsPoisoner poisoner("gfw-dns", &rules, Rng(5));
+  path.attach(1, &box);
+  path.attach(5, &gfw1);
+  path.attach(5, &gfw2);
+  path.attach(5, &poisoner);
+  tcp::Host::Config cfg;
+  cfg.address = kTuple.dst_ip;
+  cfg.side = tcp::HostSide::kServer;
+  cfg.suppress_kernel_resets = true;
+  tcp::Host server(cfg, path, loop, Rng(6));
+  server.attach();
+  path.set_client_sink([](net::Packet&) {});
+
+  // Warm up: a handshake the box and both devices track, then innocuous
+  // requests. The type-2 device keeps the stream it reassembles, and that
+  // buffer grows geometrically: after three requests it has room for a
+  // fourth.
+  path.send_from_client(
+      net::make_tcp_packet(kTuple, net::TcpFlags::only_syn(), 0, 0));
+  loop.run();
+  path.send_from_server(net::make_tcp_packet(
+      kTuple.reversed(), net::TcpFlags::syn_ack(), 4999, 1));
+  loop.run();
+  path.send_from_client(
+      net::make_tcp_packet(kTuple, net::TcpFlags::only_ack(), 1, 5000));
+  loop.run();
+  constexpr u32 kRequestBytes = 47;
+  for (u16 i = 0; i < 3; ++i) {
+    path.send_from_client(data_packet(1 + i * kRequestBytes, i));
+    loop.run();
+  }
+  ASSERT_EQ(gfw1.tcb_count(), 1u);
+  ASSERT_EQ(gfw2.tcb_count(), 1u);
+
+  net::Packet pkt = data_packet(1 + 3 * kRequestBytes, 3);
+  const std::size_t logged = server.received_log().size();
+  const auto before = obs::perf::thread_alloc_counters();
+  path.send_from_client(std::move(pkt));
+  loop.run();
+  const auto after = obs::perf::thread_alloc_counters();
+  ASSERT_EQ(server.received_log().size(), logged + 1);
+  EXPECT_EQ(server.received_log().back().tcp->seq, 1 + 3 * kRequestBytes);
+  EXPECT_EQ(after.count - before.count, 0u);
+  EXPECT_EQ(gfw1.reset_volleys() + gfw2.reset_volleys(), 0);
 }
 
 TEST(FragmentGate, GfwStillReassemblesAroundWholePackets) {

@@ -658,6 +658,20 @@ class CopyingTap final : public PathElement {
   std::vector<Sighting> log;
 };
 
+/// The same tap through Forwarder::forward_and_observe: it reads the packet
+/// where it lies instead of copying it.
+class ObservingTap final : public PathElement {
+ public:
+  std::string name() const override { return "tap"; }
+  void process(Packet pkt, Dir dir, Forwarder& fwd) override {
+    fwd.forward_and_observe(pkt, dir, *this);
+  }
+  void observe(const Packet& pkt, Dir, Forwarder&) override {
+    log.push_back({pkt.ip.ttl, pkt.payload, pkt.trace_id});
+  }
+  std::vector<Sighting> log;
+};
+
 /// Fault hook acting on the segments leaving hop `from`.
 class SegmentHook final : public FaultHook {
  public:
@@ -835,6 +849,56 @@ TEST(Path, TapSeesTheCleanPayloadOfAPacketCorruptedNext) {
 TEST(Path, TapSeesOnePacketThatIsDuplicatedNext) {
   tap_sees_one_packet_a_fault_duplicates_next<CopyingTap>(false);
   tap_sees_one_packet_a_fault_duplicates_next<CopyingTap>(true);
+}
+
+TEST(Path, ObservingTapSeesAPacketThatContinues) {
+  tap_sees_a_packet_that_continues<ObservingTap>();
+}
+
+TEST(Path, ObservingTapSeesArrivalTtlOfAPacketThatExpiresNext) {
+  tap_sees_a_packet_that_expires_on_the_next_link<ObservingTap>();
+}
+
+TEST(Path, ObservingTapSeesPacketsLostOnTheNextLinks) {
+  tap_sees_packets_lost_on_the_next_link<ObservingTap>();
+}
+
+TEST(Path, ObservingTapSeesTheCleanPayloadOfAPacketCorruptedNext) {
+  tap_sees_the_clean_packet_a_fault_corrupts_next<ObservingTap>();
+}
+
+TEST(Path, ObservingTapSeesOnePacketThatIsDuplicatedNext) {
+  tap_sees_one_packet_a_fault_duplicates_next<ObservingTap>(false);
+  tap_sees_one_packet_a_fault_duplicates_next<ObservingTap>(true);
+}
+
+TEST(Path, ObservingTapSeesWhatTheCopyingTapSees) {
+  // Same path, same loss draws: both taps log the same sightings and the
+  // packets land the same way.
+  PathConfig cfg = PathFixture::make_config();
+  cfg.per_link_loss = 0.1;
+  cfg.jitter_us = 300;
+  TapRig<CopyingTap> copying(cfg);
+  TapRig<ObservingTap> observing(cfg);
+  for (u32 i = 0; i < 40; ++i) {
+    copying.send(static_cast<u8>(3 + i % 12), i);
+    observing.send(static_cast<u8>(3 + i % 12), i);
+  }
+  copying.fx.loop.run();
+  observing.fx.loop.run();
+  ASSERT_EQ(copying.tap.log.size(), observing.tap.log.size());
+  for (std::size_t i = 0; i < copying.tap.log.size(); ++i) {
+    EXPECT_EQ(copying.tap.log[i].ttl, observing.tap.log[i].ttl);
+    EXPECT_EQ(copying.tap.log[i].payload, observing.tap.log[i].payload);
+    EXPECT_EQ(copying.tap.log[i].trace_id, observing.tap.log[i].trace_id);
+  }
+  ASSERT_EQ(copying.fx.at_server.size(), observing.fx.at_server.size());
+  for (std::size_t i = 0; i < copying.fx.at_server.size(); ++i) {
+    EXPECT_EQ(copying.fx.at_server[i].trace_id,
+              observing.fx.at_server[i].trace_id);
+  }
+  EXPECT_EQ(copying.fx.trace.events().size(),
+            observing.fx.trace.events().size());
 }
 
 TEST(Path, LossIsApplied) {

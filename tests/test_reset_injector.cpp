@@ -1,11 +1,13 @@
 // Reset injector tests: the exact §2.1 fingerprints — type-1 randomness,
 // type-2 cyclic TTL/window progression and sequence offsets, the
-// block-period forged SYN/ACK, and whole-IP blocking responses.
+// block-period forged SYN/ACK, and whole-IP blocking responses, each
+// crafted into an inline Volley.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "gfw/reset_injector.h"
+#include "obs/alloc_hook.h"
 
 namespace ys::gfw {
 namespace {
@@ -24,7 +26,7 @@ GfwTcb make_tcb(u32 client_next = 2000, u32 server_next = 9000) {
 TEST(ResetInjector, Type1IsOneBareRstPerDirection) {
   ResetInjector injector{Rng(3)};
   const GfwTcb tcb = make_tcb();
-  const auto resets = injector.type1_resets(tcb);
+  const Volley resets = injector.type1_resets(tcb);
   ASSERT_EQ(resets.size(), 2u);
 
   const auto& to_client = resets[0];
@@ -46,7 +48,7 @@ TEST(ResetInjector, Type1TtlAndWindowLookRandom) {
   std::set<int> ttls;
   std::set<int> windows;
   for (int i = 0; i < 12; ++i) {
-    const auto resets = injector.type1_resets(tcb);
+    const Volley resets = injector.type1_resets(tcb);
     ttls.insert(resets[0].packet.ip.ttl);
     windows.insert(resets[0].packet.tcp->window);
   }
@@ -58,7 +60,7 @@ TEST(ResetInjector, Type1TtlAndWindowLookRandom) {
 TEST(ResetInjector, Type2VolleyHasPaperSequenceOffsets) {
   ResetInjector injector{Rng(3)};
   const GfwTcb tcb = make_tcb(2000, 9000);
-  const auto volley = injector.type2_resets(tcb);
+  const Volley volley = injector.type2_resets(tcb);
   ASSERT_EQ(volley.size(), 6u);
 
   // Toward the client: X, X+1460, X+4380 anchored at the server seq.
@@ -79,7 +81,7 @@ TEST(ResetInjector, Type2VolleyHasPaperSequenceOffsets) {
 TEST(ResetInjector, Type2TtlAndWindowCycle) {
   ResetInjector injector{Rng(3)};
   const GfwTcb tcb = make_tcb();
-  const auto volley = injector.type2_resets(tcb);
+  const Volley volley = injector.type2_resets(tcb);
   // Cyclically increasing TTLs within a volley (§2.1's fingerprint).
   for (std::size_t i = 1; i < 3; ++i) {
     EXPECT_EQ(volley[i].packet.ip.ttl, volley[i - 1].packet.ip.ttl + 1);
@@ -93,7 +95,7 @@ TEST(ResetInjector, ReversedTcbFlipsInjectionDirections) {
   GfwTcb tcb(kTuple, net::Dir::kS2C, /*reversed=*/true);
   tcb.client_next = 100;
   tcb.server_next = 200;
-  const auto resets = injector.type1_resets(tcb);
+  const Volley resets = injector.type1_resets(tcb);
   // "Toward the assumed client" now travels c2s on the real path.
   EXPECT_EQ(resets[0].dir, net::Dir::kC2S);
   EXPECT_EQ(resets[1].dir, net::Dir::kS2C);
@@ -103,7 +105,7 @@ TEST(ResetInjector, BlockPeriodSynDrawsForgedSynAck) {
   ResetInjector injector{Rng(3)};
   net::Packet syn = net::make_tcp_packet(kTuple, net::TcpFlags::only_syn(),
                                          31337, 0);
-  const auto response = injector.block_period_response(syn, net::Dir::kC2S);
+  const Volley response = injector.block_period_response(syn, net::Dir::kC2S);
   ASSERT_EQ(response.size(), 1u);
   const net::Packet& forged = response[0].packet;
   EXPECT_TRUE(forged.tcp->flags.syn);
@@ -118,7 +120,7 @@ TEST(ResetInjector, BlockPeriodDataDrawsRstBothWays) {
   ResetInjector injector{Rng(3)};
   net::Packet data = net::make_tcp_packet(kTuple, net::TcpFlags::psh_ack(),
                                           500, 700, to_bytes("hello"));
-  const auto response = injector.block_period_response(data, net::Dir::kC2S);
+  const Volley response = injector.block_period_response(data, net::Dir::kC2S);
   ASSERT_EQ(response.size(), 2u);
   EXPECT_EQ(response[0].dir, net::Dir::kS2C);
   EXPECT_TRUE(response[0].packet.tcp->flags.rst);
@@ -139,12 +141,31 @@ TEST(ResetInjector, IpBlockResetsBothWaysWithoutForgery) {
   ResetInjector injector{Rng(3)};
   net::Packet syn = net::make_tcp_packet(kTuple, net::TcpFlags::only_syn(),
                                          42, 0);
-  const auto response = injector.ip_block_response(syn, net::Dir::kC2S);
+  const Volley response = injector.ip_block_response(syn, net::Dir::kC2S);
   ASSERT_EQ(response.size(), 2u);
   for (const auto& inj : response) {
     EXPECT_TRUE(inj.packet.tcp->flags.rst);
     EXPECT_FALSE(inj.packet.tcp->flags.syn);  // no forged handshakes here
   }
+}
+
+TEST(ResetInjector, VolleysAreCraftedWithoutTheHeap) {
+  if (!obs::perf::alloc_hook_available()) {
+    GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+  }
+  ResetInjector injector{Rng(3)};
+  const GfwTcb tcb = make_tcb();
+  const net::Packet data = net::make_tcp_packet(
+      kTuple, net::TcpFlags::psh_ack(), 500, 77, to_bytes("x"));
+  const auto before = obs::perf::thread_alloc_counters();
+  const Volley type1 = injector.type1_resets(tcb);
+  const Volley type2 = injector.type2_resets(tcb);
+  const Volley block = injector.block_period_response(data, net::Dir::kC2S);
+  const Volley ip = injector.ip_block_response(data, net::Dir::kC2S);
+  const auto after = obs::perf::thread_alloc_counters();
+  EXPECT_EQ(after.count - before.count, 0u);
+  EXPECT_EQ(type1.size() + type2.size() + block.size() + ip.size(), 12u);
+  EXPECT_EQ(type2.size(), Volley::kCapacity);
 }
 
 }  // namespace
